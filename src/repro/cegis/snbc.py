@@ -529,7 +529,9 @@ class SNBC:
                         # loop as a typed error (never a silent success),
                         # with the failed report still attached to the
                         # result for postmortems
-                        soundness = self._check_soundness(verification)
+                        soundness = self._check_soundness(
+                            verification, iteration
+                        )
                         if soundness is not None and not soundness.ok:
                             failed = soundness.failed_conditions()
                             raise SoundnessError(
@@ -720,7 +722,7 @@ class SNBC:
         )
 
     def _check_soundness(
-        self, verification: VerificationResult
+        self, verification: VerificationResult, iteration: int
     ) -> Optional[SoundnessReport]:
         """Exact rational recheck of an accepted verification.  Returns
         ``None`` when the gate is off or no certificate was captured; the
@@ -731,6 +733,11 @@ class SNBC:
         if not cfg.soundness_check:
             return None
         tel = self.telemetry
+        # heartbeat before the recheck, so a live run never shows the
+        # finished verification phase as its last sign of life
+        tel.status_update(
+            force=True, phase="soundness", cegis_iteration=iteration
+        )
         with tel.span("snbc.soundness", phase="soundness") as sp:
             report = check_verification(
                 self.problem, verification, config=cfg.soundness_config

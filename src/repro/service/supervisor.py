@@ -516,8 +516,10 @@ class CertificationService:
     async def run(self) -> Dict[str, Any]:
         """Drive every submitted job to a terminal state; returns
         :meth:`results`.  Idempotent across restarts when :meth:`recover`
-        was called first."""
-        self._build_pool()
+        was called first.  A batch served entirely from the cache forks
+        no workers."""
+        if not self.queue.all_terminal():
+            self._build_pool()
         self._update_status(force=True)
         try:
             while not self.queue.all_terminal():

@@ -9,8 +9,9 @@ captured :class:`~repro.soundness.certificate.CertificateBundle`:
    for (14), the exact Lie derivative along the rational closed loop at
    the inclusion-error endpoint for (15)) — independent of the float
    pipeline that produced the certificate;
-2. each multiplier Gram matrix is embedded into ℚ, shifted by the
-   smallest dyadic ``delta_i`` that makes it *exactly* PSD
+2. each multiplier Gram matrix is embedded into ℚ (rounded to a dyadic
+   ``1/max_denominator`` grid), shifted by the smallest dyadic
+   ``delta_i`` that makes it *exactly* PSD
    (:func:`~repro.soundness.rational.find_psd_shift`); the shifted
    ``sigma_i`` is exactly SOS by construction;
 3. the coefficient residual between the exact target and the embedded
@@ -18,8 +19,9 @@ captured :class:`~repro.soundness.certificate.CertificateBundle`:
    over every basis pair producing each monomial — after absorption the
    identity holds **exactly** (coefficient equality over ℚ, re-verified
    symbolically);
-4. the absorbed slack Gram is certified PSD by exact rational LDLᵀ,
-   after a diagonal shift ``delta_s`` when needed.  A shift is not free:
+4. the absorbed slack Gram is certified PSD by exact LDLᵀ (fraction-free
+   integer elimination), after a diagonal shift ``delta_s`` when needed.
+   A shift is not free:
    ``m^T (Q + delta I) m <= m^T Q m + delta * S`` with ``S`` the exact
    box bound on ``sum_k m_k^2``, so ``delta_s * S`` is charged against
    the strictness margin.  The condition is sound iff the *certified
@@ -49,6 +51,7 @@ from repro.soundness.rational import (
     DEFAULT_DELTA_LADDER,
     RationalMatrix,
     RationalPolynomial,
+    _check_grid,
     basis_square_bound,
     find_psd_shift,
     gram_polynomial,
@@ -74,14 +77,20 @@ class SoundnessError(ReproError):
 class SoundnessConfig:
     """Knobs of the exact checker."""
 
-    #: quantize Gram entries via ``Fraction.limit_denominator`` before
-    #: absorption, bounding coefficient bit-growth inside the rational
-    #: LDLᵀ; quantization error is absorbed into the slack residual, so
-    #: the final identity stays exact.  ``None``: fully exact embedding.
+    #: dyadic quantization grid for the Gram entries: each float is
+    #: rounded to the nearest multiple of ``1/max_denominator`` before
+    #: absorption, so every entry shares a power-of-two denominator and
+    #: the integer LDLᵀ stays small; quantization error is absorbed into
+    #: the slack residual, so the final identity stays exact.  Must be a
+    #: power of two (else ``ValueError``).  ``None``: fully exact
+    #: embedding of every bit the solver returned.
     max_denominator: Optional[int] = 2 ** 40
     #: dyadic diagonal shifts tried (smallest first) to restore exact
     #: PSD-ness; each accepted shift is charged against the margin
     delta_ladder: Tuple[Fraction, ...] = DEFAULT_DELTA_LADDER
+
+    def __post_init__(self) -> None:
+        _check_grid(self.max_denominator)
 
 
 @dataclass

@@ -1,16 +1,19 @@
 """Exact rational polynomial arithmetic and PSD certification over ℚ.
 
-Everything in this module computes with :class:`fractions.Fraction` —
-no floats anywhere past the constructors.  The two facts that make an
-exact a-posteriori certificate check possible:
+Everything in this module computes exactly — :class:`fractions.Fraction`
+coefficients and Python integers, no floats anywhere past the
+constructors.  The two facts that make an exact a-posteriori
+certificate check possible:
 
 * every IEEE-754 double is a dyadic rational, so ``Fraction(float)`` is
-  a *lossless* embedding of the solver's output into ℚ;
+  a *lossless* embedding of the solver's output into ℚ (and rounding a
+  double to a ``2^-k`` grid is one exact float scaling plus ``round``);
 * positive semidefiniteness of a rational symmetric matrix is decidable
-  by a pivoted LDLᵀ elimination whose pivots are exact rationals
-  (:func:`ldlt_psd`): the matrix is PSD iff the elimination never meets
-  a negative pivot and every zero pivot heads an all-zero trailing
-  block.
+  by a pivoted LDLᵀ elimination (:func:`ldlt_psd`): the matrix is PSD
+  iff the elimination never meets a negative pivot and every zero pivot
+  heads an all-zero trailing block.  The elimination runs fraction-free
+  on integers (Bareiss), which decides the same signs as the rational
+  one.
 
 On top of those, :class:`RationalPolynomial` mirrors the float
 :class:`repro.poly.Polynomial` API closely enough to recompute the
@@ -20,8 +23,11 @@ Putinar identities (13)-(15) symbolically (see
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.poly.monomials import Exponent, add_exponents, grlex_key
 from repro.poly.polynomial import Polynomial
@@ -43,6 +49,24 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     return Fraction(float(value))
+
+
+def _check_grid(max_denominator: Optional[int]) -> None:
+    """Reject a quantization grid that is not ``1/2^k``."""
+    d = max_denominator
+    if d is not None and (not isinstance(d, int) or d < 1 or d & (d - 1)):
+        raise ValueError(
+            f"max_denominator must be a power of two or None, got {d!r}"
+        )
+
+
+def _on_grid(x: float, scale: int) -> int:
+    """``round(x * scale)`` (ties to even) for a power-of-two ``scale``:
+    the float product is exact unless it leaves the double range."""
+    try:
+        return round(x * scale)
+    except OverflowError:
+        return round(Fraction(x) * scale)  # re-raises for an infinite x
 
 
 class RationalPolynomial:
@@ -72,6 +96,17 @@ class RationalPolynomial:
                     cleaned[alpha] = cleaned.get(alpha, Fraction(0)) + c
         self.coeffs = {a: c for a, c in cleaned.items() if c != 0}
 
+    @classmethod
+    def _make(
+        cls, n_vars: int, coeffs: Dict[Exponent, Fraction]
+    ) -> "RationalPolynomial":
+        """Internal constructor for already-validated exponents and
+        exact coefficients: only drops the zero ones."""
+        self = object.__new__(cls)
+        self.n_vars = n_vars
+        self.coeffs = {a: c for a, c in coeffs.items() if c}
+        return self
+
     # ------------------------------------------------------------------
     @classmethod
     def from_polynomial(
@@ -80,17 +115,20 @@ class RationalPolynomial:
         """Embed a float polynomial into ℚ.
 
         Without ``max_denominator`` the embedding is exact (doubles are
-        dyadic rationals); with it, every coefficient is quantized via
-        ``Fraction.limit_denominator`` — the quantization error then
-        lands in the residual the checker absorbs, so exactness of the
-        final identity is unaffected.
+        dyadic rationals); with it (a power of two), every coefficient
+        is rounded to the ``1/max_denominator`` grid — the quantization
+        error then lands in the residual the checker absorbs, so
+        exactness of the final identity is unaffected.
         """
-        coeffs: Dict[Exponent, Fraction] = {}
-        for alpha, c in p.coeffs.items():
-            f = Fraction(c)
-            if max_denominator is not None:
-                f = f.limit_denominator(max_denominator)
-            coeffs[alpha] = f
+        _check_grid(max_denominator)
+        if max_denominator is None:
+            coeffs = {a: Fraction(c) for a, c in p.coeffs.items()}
+        else:
+            coeffs = {
+                a: Fraction(_on_grid(float(c), max_denominator),
+                            max_denominator)
+                for a, c in p.coeffs.items()
+            }
         return cls(p.n_vars, coeffs)
 
     @classmethod
@@ -128,13 +166,14 @@ class RationalPolynomial:
             raise ValueError("variable count mismatch")
         coeffs = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
-            coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + c
-        return RationalPolynomial(self.n_vars, coeffs)
+            prev = coeffs.get(alpha)
+            coeffs[alpha] = c if prev is None else prev + c
+        return RationalPolynomial._make(self.n_vars, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(
+        return RationalPolynomial._make(
             self.n_vars, {a: -c for a, c in self.coeffs.items()}
         )
 
@@ -151,7 +190,7 @@ class RationalPolynomial:
     def __mul__(self, other) -> "RationalPolynomial":
         if isinstance(other, (int, Fraction)):
             f = _as_fraction(other)
-            return RationalPolynomial(
+            return RationalPolynomial._make(
                 self.n_vars, {a: c * f for a, c in self.coeffs.items()}
             )
         if not isinstance(other, RationalPolynomial):
@@ -162,8 +201,9 @@ class RationalPolynomial:
         for a1, c1 in self.coeffs.items():
             for a2, c2 in other.coeffs.items():
                 alpha = add_exponents(a1, a2)
-                coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + c1 * c2
-        return RationalPolynomial(self.n_vars, coeffs)
+                prev = coeffs.get(alpha)
+                coeffs[alpha] = c1 * c2 if prev is None else prev + c1 * c2
+        return RationalPolynomial._make(self.n_vars, coeffs)
 
     __rmul__ = __mul__
 
@@ -252,18 +292,28 @@ RationalMatrix = List[List[Fraction]]
 def rationalize_matrix(
     Q, max_denominator: Optional[int] = None
 ) -> RationalMatrix:
-    """Symmetrized exact (or quantized) embedding of a float matrix."""
-    n = len(Q)
+    """Symmetrized exact (or quantized) embedding of a float matrix.
+
+    The IPM returns numerically-symmetric matrices, but only the average
+    ``(Q_ij + Q_ji) / 2`` is guaranteed symmetric in ℚ.  With
+    ``max_denominator = 2^k`` each float is first rounded to the ``2^-k``
+    grid (an exact float scaling plus ``round``), so every entry has a
+    denominator dividing ``2 * max_denominator``; ``None`` keeps every
+    bit of the solver's output.
+    """
+    _check_grid(max_denominator)
+    M = np.asarray(Q, dtype=float).tolist()
+    n = len(M)
+    if max_denominator is None:
+        num = [[Fraction(x) for x in row] for row in M]
+        den = 2
+    else:
+        num = [[_on_grid(x, max_denominator) for x in row] for row in M]
+        den = 2 * max_denominator
     out: RationalMatrix = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            # symmetrize exactly: the IPM returns numerically-symmetric
-            # matrices, but only the average is guaranteed symmetric in ℚ
-            f = (Fraction(float(Q[i][j])) + Fraction(float(Q[j][i]))) / 2
-            if max_denominator is not None:
-                f = f.limit_denominator(max_denominator)
-            out[i][j] = f
-            out[j][i] = f
+            out[i][j] = out[j][i] = Fraction(num[i][j] + num[j][i], den)
     return out
 
 
@@ -288,8 +338,9 @@ def gram_polynomial(
             if q == 0:
                 continue
             alpha = add_exponents(bi, bj)
-            coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + q
-    return RationalPolynomial(n_vars, coeffs)
+            prev = coeffs.get(alpha)
+            coeffs[alpha] = q if prev is None else prev + q
+    return RationalPolynomial._make(n_vars, coeffs)
 
 
 def ldlt_psd(Q: RationalMatrix) -> bool:
@@ -303,51 +354,56 @@ def ldlt_psd(Q: RationalMatrix) -> bool:
     * completing all eliminations with positive pivots proves
       ``Q = L D Lᵀ`` with ``D >= 0``, hence PSD.
 
-    Everything is exact — no tolerance anywhere.
+    The elimination is fraction-free (Bareiss): ``Q`` is scaled to an
+    integer matrix by the LCM of its denominators, and each step forms
+    ``(d * a_ij - a_ik * a_kj) // prev`` with ``d`` the current and
+    ``prev`` the previous pivot — an exact division, since every entry
+    is a minor of the scaled matrix.  The trailing block after a step is
+    the rational Schur complement times a product of the pivots so far
+    and the scale, all positive, so every pivot sign, argmax and
+    zero-block test decides exactly as rational elimination would.  No
+    tolerance and no gcd anywhere.
     """
-    n = len(Q)
-    A = [row[:] for row in Q]
-    for k in range(n):
-        p = k
-        for i in range(k + 1, n):
-            if A[i][i] > A[p][p]:
-                p = i
-        if A[p][p] < 0:
-            return False
-        if A[p][p] == 0:
-            # the largest remaining diagonal is zero: PSD iff the whole
-            # trailing block is exactly zero
-            for i in range(k, n):
-                for j in range(k, n):
-                    if A[i][j] != 0:
-                        return False
-            return True
-        if p != k:
-            A[k], A[p] = A[p], A[k]
-            for row in A:
-                row[k], row[p] = row[p], row[k]
-        d = A[k][k]
-        for i in range(k + 1, n):
-            aik = A[i][k]
-            if aik == 0:
-                continue
-            f = aik / d
-            row_i, row_k = A[i], A[k]
-            for j in range(k + 1, n):
-                if row_k[j] != 0:
-                    row_i[j] = row_i[j] - f * row_k[j]
+    scale = math.lcm(*(q.denominator for row in Q for q in row))
+    A = [[q.numerator * (scale // q.denominator) for q in row] for row in Q]
+    prev = 1
+    while A:
+        diag = [row[i] for i, row in enumerate(A)]
+        d = max(diag)
+        if d <= 0:
+            # a negative largest diagonal disproves PSD-ness; a zero one
+            # is PSD iff the whole trailing block is exactly zero
+            return d == 0 and not any(any(row) for row in A)
+        p = diag.index(d)
+        # rational elimination swaps the pivot into the lead position;
+        # the remaining rows keep that order, so ties break the same way
+        rest = list(range(1, len(A)))
+        if p:
+            rest[p - 1] = 0
+        pivot_row = A[p]
+        col = [pivot_row[r] for r in rest]
+        block: List[List[int]] = []
+        for a, r in enumerate(rest):
+            row_r, c = A[r], col[a]
+            # symmetric: the part left of the diagonal is already known
+            block.append(
+                [block[b][a] for b in range(a)]
+                + [
+                    (d * row_r[s] - c * cs) // prev
+                    for s, cs in zip(rest[a:], col[a:])
+                ]
+            )
+        A, prev = block, d
     return True
 
 
 def _float_min_eig(Q: RationalMatrix) -> float:
     """Cheap float estimate of the smallest eigenvalue, used only to pick
     a starting point in the shift ladder (the LDLᵀ decision stays exact)."""
-    try:  # numpy is a hard dependency of the repo, but stay defensive
-        import numpy as np
-
+    try:
         M = np.array([[float(x) for x in row] for row in Q], dtype=float)
         return float(np.linalg.eigvalsh(M)[0])
-    except Exception:  # pragma: no cover - numpy always available
+    except Exception:  # pragma: no cover - eigvalsh failed to converge
         return float("-inf")
 
 

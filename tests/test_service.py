@@ -323,6 +323,36 @@ def test_service_cache_hits_skip_execution(tmp_path):
     assert len(read_events(log)) == runs_before  # nothing re-executed
 
 
+def test_all_hit_resubmission_forks_no_worker(tmp_path, monkeypatch):
+    root = str(tmp_path / "root")
+    reqs = [custom_request(seed=i) for i in range(3)]
+    run_service(root, reqs, ServiceConfig(workers=0))
+    spawned = []
+    spawn = CertificationService._spawn_worker
+
+    def counting_spawn(self, slot):
+        spawned.append(slot)
+        return spawn(self, slot)
+
+    monkeypatch.setattr(CertificationService, "_spawn_worker", counting_spawn)
+    pooled = run_service(root, reqs, ServiceConfig(workers=2))
+    assert spawned == []
+    # the same document a serial service (which never forks) returns
+    serial = run_service(root, reqs, ServiceConfig(workers=0))
+    for doc in (pooled, serial):
+        for row in doc["jobs"].values():
+            assert row.pop("latency_s") >= 0.0
+    assert pooled == serial
+    assert pooled["counts"]["cache_hits"] == 3
+    assert all(r["from_cache"] for r in pooled["jobs"].values())
+    # one miss in the batch still builds the pool
+    out = run_service(
+        root, reqs + [custom_request(seed=9)], ServiceConfig(workers=2)
+    )
+    assert spawned == [0, 1]
+    assert all(r["status"] == "success" for r in out["jobs"].values())
+
+
 def test_service_status_file_carries_service_block(tmp_path):
     root = str(tmp_path / "root")
     run_service(root, [custom_request(seed=0)], ServiceConfig(workers=0))

@@ -313,6 +313,25 @@ def test_snbc_refuses_success_when_recheck_fails(monkeypatch):
     assert res.soundness is not None and not res.soundness.ok
 
 
+def test_snbc_heartbeats_soundness_phase_during_recheck(tmp_path, monkeypatch):
+    import repro.cegis.snbc as snbc_mod
+    from repro.telemetry import session
+    from repro.telemetry.status import read_status
+
+    seen = []
+
+    def watching_check(problem, verification, config=None):
+        seen.append(read_status(str(tmp_path / "run.status.json")))
+        return check_verification(problem, verification, config=config)
+
+    monkeypatch.setattr(snbc_mod, "check_verification", watching_check)
+    with session(str(tmp_path / "run.jsonl"), name="heartbeat"):
+        res = snbc_for(decay_problem()).run()
+    assert res.success and seen
+    assert seen[-1]["phase"] == "soundness"
+    assert seen[-1]["cegis_iteration"] == res.iterations
+
+
 def test_soundness_error_is_typed():
     exc = SoundnessError("bad", failed_conditions=["init"])
     assert exc.phase == "soundness"
