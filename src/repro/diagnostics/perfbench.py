@@ -7,15 +7,10 @@ produced *identical* results.  The four benches:
 
 * ``train_epoch`` — Learner epochs with/without tape replay and the
   compile-field cache;
-* ``verify_iteration`` — repeated candidate verification with the full
-  solver fast path (cached SOS workspaces, raw-LAPACK IPM kernels,
-  batched tri-condition lockstep solves, per-condition warm starts)
-  against the legacy path (fresh symbolic build per call, scipy-wrapper
-  kernels, serial cold solves).  Warm starting follows a different
-  central path, so identity here is verdict-level (per-condition
-  name/feasible/validated agreement) rather than bitwise — the bitwise
-  guarantees for the default-on pieces live in
-  ``tests/test_perf_identity.py``;
+* ``verify_iteration`` — repeated verification of one candidate with
+  the default verifier (cached SOS workspaces) against a fresh symbolic
+  build per call.  Both run the one solver path, so identity is bitwise
+  (every condition report field, timings aside);
 * ``cex_search`` — counterexample ascent with/without compiled batched
   kernels (the one opt-in path: not bitwise, so identity is reported as
   a tolerance check, and the optimization defaults off);
@@ -122,19 +117,11 @@ def bench_train_epoch(epochs: int = 200) -> Dict[str, Any]:
 
 
 def bench_verify_iteration(repeats: int = 5) -> Dict[str, Any]:
-    """Repeated verification of a fixed candidate: the solver fast path
-    (workspace cache + fast IPM kernels + batched tri-condition solves +
-    warm starts) vs fresh builds with the legacy scipy-kernel solver.
-
-    The warm-up verify outside the clock also seeds the optimized
-    verifier's warm-start store, so the measured repeats model the
-    steady CEGIS state (candidate moving slightly between iterations).
-    Identity is verdict-level (see the module docstring): warm-started
-    solves take fewer IPM iterations to the same verdict.
-    """
+    """Repeated verification of a fixed candidate: the default verifier
+    (workspace cache) vs a fresh symbolic build per call.  Bitwise
+    identity is required."""
     from repro.benchmarks import get_benchmark
     from repro.cegis import SNBC
-    from repro.sdp import InteriorPointOptions
     from repro.verifier import SOSVerifier, VerifierConfig
 
     spec = get_benchmark("C1")
@@ -145,20 +132,9 @@ def bench_verify_iteration(repeats: int = 5) -> Dict[str, Any]:
     sigma = result.inclusion.sigma_star
 
     def run(optimized: bool):
-        config = (
-            VerifierConfig(
-                workspace_cache=True,
-                batch_conditions=True,
-                warm_start=True,
-            )
-            if optimized
-            else VerifierConfig(
-                workspace_cache=False,
-                sdp_options=InteriorPointOptions(fast_kernels=False),
-            )
-        )
+        config = VerifierConfig(workspace_cache=optimized)
         v = SOSVerifier(problem, h_polys, sigma, config=config)
-        v.verify(B)  # warm workspace/kernels/warm-start store off the clock
+        v.verify(B)  # fill the workspace cache off the clock
         return v
 
     def measure(v):
@@ -168,7 +144,7 @@ def bench_verify_iteration(repeats: int = 5) -> Dict[str, Any]:
     t_opt, rs_a = _timed(lambda: measure(v_opt))
     t_ref, rs_b = _timed(lambda: measure(v_ref))
     identical = all(
-        _verification_equivalent(x, y) for x, y in zip(rs_a, rs_b)
+        _verification_identical(x, y) for x, y in zip(rs_a, rs_b)
     )
     return _row(t_opt, t_ref, identical)
 
@@ -218,7 +194,6 @@ def bench_e2e_c1() -> Dict[str, Any]:
     from repro.cegis import SNBC
     from repro.learner import LearnerConfig
     from repro.poly.fast_eval import clear_compile_cache, set_compile_cache_enabled
-    from repro.sdp import InteriorPointOptions
     from repro.verifier import VerifierConfig
 
     def run(optimized: bool):
@@ -229,13 +204,8 @@ def bench_e2e_c1() -> Dict[str, Any]:
             snbc = SNBC(
                 spec.make_problem(),
                 controller=spec.make_controller(),
-                # Only the bitwise-identical solver knobs flip here
-                # (fast_kernels); warm starts and batching are exercised
-                # by verify_iteration, which uses a verdict-level check.
                 verifier_config=VerifierConfig(
-                    lambda_degree=1,
-                    workspace_cache=optimized,
-                    sdp_options=InteriorPointOptions(fast_kernels=optimized),
+                    lambda_degree=1, workspace_cache=optimized
                 ),
                 learner_config=LearnerConfig(
                     seed=0,
@@ -271,23 +241,6 @@ def bench_e2e_c1() -> Dict[str, Any]:
         ),
     }
     return _row(t_opt, t_ref, identical, correctness)
-
-
-def _verification_equivalent(a: Any, b: Any) -> bool:
-    """Verdict-level VerificationResult agreement: same overall verdict
-    and per-condition name/feasible/validated.  Used where the optimized
-    path is legitimately non-bitwise (warm starts change iteration
-    counts and final iterates but must not change verdicts)."""
-    if a is None or b is None:
-        return a is b
-    if a.ok != b.ok or len(a.conditions) != len(b.conditions):
-        return False
-    return all(
-        x.name == y.name
-        and x.feasible == y.feasible
-        and x.validated == y.validated
-        for x, y in zip(a.conditions, b.conditions)
-    )
 
 
 def _verification_identical(a: Any, b: Any) -> bool:

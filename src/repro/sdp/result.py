@@ -61,10 +61,6 @@ class SDPResult:
         window; see :mod:`repro.sdp.trace` for the record schema).
     ipm_trace_dropped:
         Records evicted by the ring bound before termination.
-    warm_started:
-        True when the solve started from a caller-provided
-        :class:`repro.sdp.ipm.WarmStart` point (False for cold starts
-        and for warm starts rejected on shape mismatch).
     """
 
     status: SDPStatus
@@ -82,7 +78,6 @@ class SDPResult:
     recovery_rung: str = "base"
     ipm_trace: List[Dict[str, Any]] = field(default_factory=list)
     ipm_trace_dropped: int = 0
-    warm_started: bool = False
 
     @property
     def feasible(self) -> bool:

@@ -1,23 +1,31 @@
-"""SOS/LMI verification of barrier-certificate conditions."""
+"""SOS/LMI verification of barrier-certificate conditions.
+
+One pipeline verifies a candidate: :meth:`SOSVerifier._plan` lists the
+condition sub-problems (13)-(15) in serial order, still uncompiled;
+:meth:`SOSVerifier._assemble` walks that plan, asks an *executor* for
+each condition's SDP solve, and stops at the first failure.  The serial
+executor compiles and solves on demand, so nothing after the first
+failing condition is compiled or solved.  The pool executor
+(``VerifierConfig.parallel``) compiles and solves the whole plan in a
+process pool up front and hands back the precomputed results.
+"""
 
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.dynamics import CCDS
 from repro.poly import Polynomial, lie_derivative
 from repro.resilience.faults import fault_point
-from repro.resilience.recovery import (
-    RecoveryPolicy,
-    solve_sdp_batch_resilient,
-    solve_sdp_resilient,
-)
-from repro.sdp import InteriorPointOptions, SDPProblem, SDPResult, WarmStart
+from repro.resilience.recovery import RecoveryPolicy, solve_sdp_resilient
+from repro.sdp import InteriorPointOptions, SDPProblem, SDPResult
 from repro.sdp.svec import svec
 from repro.sets import SemialgebraicSet
 from repro.sos import SOSExpr, SOSProgram, validate_sos_identity
@@ -44,7 +52,6 @@ def _solve_sdp_task(
     policy: Optional[RecoveryPolicy] = None,
     trace_ctx: Optional["TraceContext"] = None,
     shard_path: Optional[str] = None,
-    warm_start: Optional[WarmStart] = None,
 ) -> SDPResult:
     """Process-pool worker: solve one compiled SDP (module-level so it
     pickles).  The recovery ladder runs inside the worker so a pool solve
@@ -58,9 +65,10 @@ def _solve_sdp_task(
     runs unchanged.
     """
     if trace_ctx is None or shard_path is None:
-        return solve_sdp_resilient(sdp, options, policy, warm_start=warm_start)
+        return solve_sdp_resilient(sdp, options, policy)
     with worker_session(trace_ctx, shard_path):
-        return solve_sdp_resilient(sdp, options, policy, warm_start=warm_start)
+        return solve_sdp_resilient(sdp, options, policy)
+
 
 #: paper numbering of the three sub-problem families (conditions (13)-(15))
 PAPER_CONDITION_NUMBERS = {"init": 13, "unsafe": 14, "lie": 15}
@@ -93,6 +101,18 @@ def _ws_key(base: str, idx: int, n_cells: int) -> Optional[str]:
     return None if n_cells == 1 else f"{base}#c{idx}"
 
 
+#: reports appended when a condition of the key family fails: each
+#: family after it in serial order is skipped as a whole
+_SKIPPED_AFTER = {
+    "init": (
+        ("unsafe", "skipped (init failed)"),
+        ("lie", "skipped (earlier failure)"),
+    ),
+    "unsafe": (("lie", "skipped (earlier failure)"),),
+    "lie": (),
+}
+
+
 @dataclass
 class VerifierConfig:
     """Knobs for the LMI feasibility sub-problems.
@@ -106,6 +126,13 @@ class VerifierConfig:
     expression degree.  The default floor of 0 yields the S-procedure
     (constant multipliers) for quadratic certificates on quadratic sets —
     the cheapest sound choice, which matters in high dimension.
+
+    Every condition SDP is solved cold by the one IPM path.  Batched
+    condition solves and per-condition warm starts were measured against
+    it and deleted: batching was 7-350x slower on rejected candidates
+    (it solved conditions the serial walk never reaches), and warm
+    starts raised summed CEGIS verifier time (6.44 s -> 6.83 s over
+    C1/C3/C6/Q1 x 6 seeds).
     """
 
     multiplier_degree: int = 0
@@ -124,9 +151,11 @@ class VerifierConfig:
     #: a fresh :class:`SOSProgram` build (see ``repro.sos.workspace``).
     workspace_cache: bool = True
     #: solve the independent condition SDPs (13)/(14)/(15-endpoints) in a
-    #: process pool.  The serial path's skip/short-circuit semantics are
-    #: reconstructed afterwards so the :class:`VerificationResult` is
-    #: identical; falls back to the serial path when no pool is available.
+    #: process pool.  The pool executor compiles and solves every
+    #: condition up front; the default serial executor stops at the
+    #: first failing one.  Both feed the same assembly, so the
+    #: :class:`VerificationResult` is identical.  Falls back to the
+    #: serial executor when no pool is available.
     parallel: bool = False
     #: worker count for ``parallel`` (``None``: one per condition, capped
     #: at the CPU count)
@@ -142,24 +171,6 @@ class VerifierConfig:
     #: Putinar identities over ℚ.  Capture is pure bookkeeping — it never
     #: changes verdicts or solver behavior.
     capture_certificate: bool = True
-    #: solve the three condition LMIs (13)/(14)/(15-endpoints) as one
-    #: block-diagonal batch (:func:`repro.sdp.problem.compose_block_diagonal`
-    #: + the lockstep driver :func:`repro.sdp.ipm.solve_sdp_batch`).
-    #: Per-condition solves are bitwise-identical to the serial path —
-    #: only Python/dispatch overhead is shared — and skip/short-circuit
-    #: semantics are reconstructed, so the :class:`VerificationResult`
-    #: matches the serial one field for field (wall-clock aside).
-    #: Ignored when ``parallel`` dispatches to a process pool.
-    batch_conditions: bool = False
-    #: seed each condition's IPM from its previous successful solve
-    #: (the learner moves the candidate only slightly between CEGIS
-    #: iterations, so the old primal/dual point is near the new central
-    #: path).  Dimension changes and non-convergence fall back to a cold
-    #: start through the recovery ladder's ``cold_restart`` rung.  NOT
-    #: bitwise-comparable to cold solves (different central path), hence
-    #: off by default; verdicts and a-posteriori validation are
-    #: unaffected.
-    warm_start: bool = False
 
 
 @dataclass
@@ -225,15 +236,34 @@ class VerificationResult:
 
 
 @dataclass
-class _PreparedCondition:
-    """One compiled condition SDP, ready to solve (serially or in a pool)."""
+class _Condition:
+    """One entry of the verification plan: the Putinar certificate
+    ``expr_known - sum sigma_i g_i - margin (+ lambda * B) in SOS`` on
+    ``region``, not yet compiled to an SDP."""
 
     name: str
-    base: str
     expr_known: Polynomial
     region: SemialgebraicSet
     margin: float
-    free_lambda_times: Optional[Polynomial]
+    #: the candidate ``B`` a free multiplier ``lambda`` multiplies
+    #: (Lie condition (15) only)
+    free_lambda_times: Optional[Polynomial] = None
+    #: inclusion-error endpoint the Lie condition is certified at
+    #: (empty for init/unsafe)
+    endpoint: Tuple[float, ...] = ()
+    #: workspace-cache key (see :func:`_ws_key`)
+    ws_key: Optional[str] = None
+
+    @property
+    def base(self) -> str:
+        return _condition_base(self.name)
+
+
+@dataclass
+class _PreparedCondition:
+    """One compiled condition SDP, ready to solve (serially or in a pool)."""
+
+    cond: _Condition
     prog: SOSProgram
     multipliers: List[SOSExpr]
     lam_expr: Optional[SOSExpr]
@@ -242,9 +272,10 @@ class _PreparedCondition:
     Bf: np.ndarray
     r: np.ndarray
     G: np.ndarray
-    #: inclusion-error endpoint the Lie condition is certified at
-    #: (empty for init/unsafe)
-    endpoint: Tuple[float, ...] = ()
+
+
+#: an executor: the (compiled condition, SDP solve) pair for one plan entry
+_Executor = Callable[[_Condition], Tuple[_PreparedCondition, SDPResult]]
 
 
 class SOSVerifier:
@@ -287,9 +318,6 @@ class SOSVerifier:
         self.config = config or VerifierConfig()
         #: condition base name -> cached :class:`ConditionWorkspace`
         self._workspaces: Dict[str, ConditionWorkspace] = {}
-        #: condition name -> last successful solve's primal/dual point
-        #: (populated only under ``config.warm_start``)
-        self._warm: Dict[str, WarmStart] = {}
 
     # ------------------------------------------------------------------
     def _multiplier_degree(self, target: int, g: Polynomial) -> int:
@@ -299,73 +327,66 @@ class SOSVerifier:
         need += need % 2  # SOS degrees are even
         return max(self.config.multiplier_degree, need)
 
-    def _prepare(
-        self,
-        name: str,
-        expr_known: Polynomial,
-        region: SemialgebraicSet,
-        margin: float,
-        free_lambda_times: Optional[Polynomial] = None,
-        endpoint: Tuple[float, ...] = (),
-        ws_key: Optional[str] = None,
-    ) -> _PreparedCondition:
+    def _prepare(self, cond: _Condition) -> _PreparedCondition:
         """Build the SDP for ``expr - sum sigma_i g_i - margin (+ lambda *
         B) in SOS``, through the cached workspace when enabled.
 
-        ``ws_key`` scopes the workspace cache: cells of a decomposed
+        ``cond.ws_key`` scopes the workspace cache: cells of a decomposed
         region carry different constraint polynomials, so each cell gets
         its own workspace (endpoints of the same cell still share one).
         """
         cfg = self.config
         tel = get_telemetry()
-        base = _condition_base(name)
         n = self.problem.n_vars
-        target_deg = expr_known.degree
-        if free_lambda_times is not None:
+        target_deg = cond.expr_known.degree
+        if cond.free_lambda_times is not None:
             target_deg = max(
-                target_deg, cfg.lambda_degree + free_lambda_times.degree
+                target_deg, cfg.lambda_degree + cond.free_lambda_times.degree
             )
         mult_degs = [
-            self._multiplier_degree(target_deg, g) for g in region.constraints
+            self._multiplier_degree(target_deg, g)
+            for g in cond.region.constraints
         ]
         if cfg.workspace_cache:
-            lam_deg = cfg.lambda_degree if free_lambda_times is not None else None
-            cache_key = ws_key if ws_key is not None else base
+            lam_deg = (
+                cfg.lambda_degree if cond.free_lambda_times is not None else None
+            )
+            cache_key = cond.ws_key if cond.ws_key is not None else cond.base
             ws = self._workspaces.get(cache_key)
             if ws is None or not ws.matches(mult_degs, lam_deg):
-                ws = ConditionWorkspace(n, region.constraints, mult_degs, lam_deg)
+                ws = ConditionWorkspace(
+                    n, cond.region.constraints, mult_degs, lam_deg
+                )
                 self._workspaces[cache_key] = ws
                 tel.metrics.inc("verifier.workspace.misses")
             else:
                 tel.metrics.inc("verifier.workspace.hits")
-            varying = SOSExpr.from_polynomial(expr_known - margin)
+            varying = SOSExpr.from_polynomial(cond.expr_known - cond.margin)
             if ws.lam_expr is not None:
-                varying = varying - ws.lam_expr * free_lambda_times
+                varying = varying - ws.lam_expr * cond.free_lambda_times
             sdp, Bf, r, G = ws.compile(varying)
             assert ws.slack_block is not None
             return _PreparedCondition(
-                name, base, expr_known, region, margin, free_lambda_times,
-                ws.program, ws.multipliers, ws.lam_expr, ws.slack_block,
-                sdp, Bf, r, G, endpoint,
+                cond, ws.program, ws.multipliers, ws.lam_expr, ws.slack_block,
+                sdp, Bf, r, G,
             )
         prog = SOSProgram(n)
-        expr = SOSExpr.from_polynomial(expr_known - margin)
+        expr = SOSExpr.from_polynomial(cond.expr_known - cond.margin)
         multipliers = []
-        for g, deg in zip(region.constraints, mult_degs):
+        for g, deg in zip(cond.region.constraints, mult_degs):
             s = prog.sos_poly(deg, label="sigma")
             multipliers.append(s)
             expr = expr - s * g
         lam_expr = None
-        if free_lambda_times is not None:
+        if cond.free_lambda_times is not None:
             lam_expr = prog.free_poly(cfg.lambda_degree, label="lambda")
-            expr = expr - lam_expr * free_lambda_times
+            expr = expr - lam_expr * cond.free_lambda_times
         # the slack degree must cover the full expression including the
         # multiplier products sigma_i * g_i (expr.degree accounts for them)
         slack = prog.require_sos(expr)
         sdp, Bf, r, G = prog.compile()
         return _PreparedCondition(
-            name, base, expr_known, region, margin, free_lambda_times,
-            prog, multipliers, lam_expr, slack, sdp, Bf, r, G, endpoint,
+            cond, prog, multipliers, lam_expr, slack, sdp, Bf, r, G
         )
 
     def _condition_box(
@@ -384,8 +405,9 @@ class SOSVerifier:
         lam_poly: Optional[Polynomial],
     ) -> ConditionCertificate:
         """Snapshot the Gram-level evidence of one passing condition."""
+        cond = prep.cond
         multipliers: List[MultiplierCertificate] = []
-        for s, g in zip(prep.multipliers, prep.region.constraints):
+        for s, g in zip(prep.multipliers, cond.region.constraints):
             # every monomial of an sos_poly expression references the same
             # Gram block, so any gram key identifies it
             bid = next(
@@ -401,12 +423,12 @@ class SOSVerifier:
                     gram=np.array(sol.gram(bid), dtype=float),
                 )
             )
-        lo, hi = self._condition_box(prep.region)
+        lo, hi = self._condition_box(cond.region)
         return ConditionCertificate(
-            name=prep.name,
-            base=prep.base,
-            margin=float(prep.margin),
-            endpoint=tuple(float(w) for w in prep.endpoint),
+            name=cond.name,
+            base=cond.base,
+            margin=float(cond.margin),
+            endpoint=tuple(float(w) for w in cond.endpoint),
             slack_basis=tuple(prep.slack.basis),
             slack_gram=np.array(sol.gram(prep.slack.block_id), dtype=float),
             multipliers=multipliers,
@@ -428,7 +450,8 @@ class SOSVerifier:
         for one solved condition (mirrors :meth:`SOSProgram.solve`)."""
         cfg = self.config
         tel = get_telemetry()
-        name, base, prog = prep.name, prep.base, prep.prog
+        cond, prog = prep.cond, prep.prog
+        name, base = cond.name, cond.base
         free_values = np.zeros(prog._n_free)
         if result.status.ok and prog._n_free > 0:
             q_flat = np.concatenate([svec(X) for X in result.X])
@@ -486,19 +509,19 @@ class SOSVerifier:
                 cert,
             )
         # rebuild the fully-substituted LHS and validate the identity
-        realized = prep.expr_known - prep.margin
-        for s, g in zip(prep.multipliers, prep.region.constraints):
+        realized = cond.expr_known - cond.margin
+        for s, g in zip(prep.multipliers, cond.region.constraints):
             realized = realized - sol.value(s) * g
         if lam_poly is not None:
-            realized = realized - lam_poly * prep.free_lambda_times
-        lo, hi = self._condition_box(prep.region)
+            realized = realized - lam_poly * cond.free_lambda_times
+        lo, hi = self._condition_box(cond.region)
         report = validate_sos_identity(
             realized,
             prep.slack,
             sol.gram(prep.slack.block_id),
             lo,
             hi,
-            margin=prep.margin if prep.margin > 0 else 1e-6,
+            margin=cond.margin if cond.margin > 0 else 1e-6,
             psd_tolerance=cfg.psd_tolerance,
             extra_grams=[
                 sol.gram(b.block_id)
@@ -533,67 +556,6 @@ class SOSVerifier:
             cert,
         )
 
-    def _putinar_check(
-        self,
-        name: str,
-        expr_known: Polynomial,
-        region: SemialgebraicSet,
-        margin: float,
-        free_lambda_times: Optional[Polynomial] = None,
-        endpoint: Tuple[float, ...] = (),
-        ws_key: Optional[str] = None,
-    ) -> Tuple[
-        ConditionReport, Optional[Polynomial], Optional[ConditionCertificate]
-    ]:
-        """Feasibility of ``expr - sum sigma_i g_i - margin (+ lambda * B) in SOS``.
-
-        When ``free_lambda_times`` is given (the candidate ``B``), a free
-        polynomial ``lambda`` of ``config.lambda_degree`` multiplies it and
-        is returned with the report (sub-problem (15)).
-        """
-        t0 = time.perf_counter()
-        cfg = self.config
-        tel = get_telemetry()
-        base = _condition_base(name)
-        with tel.span(
-            "verifier.condition",
-            condition=name,
-            paper_condition=PAPER_CONDITION_NUMBERS.get(base),
-        ) as span:
-            prep = self._prepare(
-                name, expr_known, region, margin, free_lambda_times,
-                endpoint=endpoint, ws_key=ws_key,
-            )
-            result = solve_sdp_resilient(
-                prep.sdp, cfg.sdp_options, cfg.recovery,
-                warm_start=self._warm_for(name),
-            )
-            self._note_warm(name, result)
-            return self._finish(prep, result, t0, span=span)
-
-    def _warm_for(self, name: str) -> Optional[WarmStart]:
-        """The stored warm-start point for a condition (None when the
-        feature is off or no previous successful solve exists)."""
-        if not self.config.warm_start:
-            return None
-        return self._warm.get(name)
-
-    def _note_warm(self, name: str, result: SDPResult) -> None:
-        """Update the per-condition warm-start store from a solve.
-
-        Successful solves overwrite the stored point; failed solves drop
-        it (a point that just led the IPM astray is worse than a cold
-        start next iteration).
-        """
-        if not self.config.warm_start:
-            return
-        if result.status.ok:
-            ws = WarmStart.from_result(result)
-            if ws is not None:
-                self._warm[name] = ws
-                return
-        self._warm.pop(name, None)
-
     # ------------------------------------------------------------------
     def verify(self, B: Polynomial) -> VerificationResult:
         """Run all sub-problems for candidate ``B``; all must pass.
@@ -610,105 +572,14 @@ class SOSVerifier:
         if scale > 0:
             B = B * (1.0 / scale)
         t0 = time.perf_counter()
-        cfg = self.config
-        if cfg.parallel:
-            result = self._verify_parallel(B, t0, scale)
-            if result is not None:
-                return result
-            # pool unavailable -> fall through to the serial path
-        elif cfg.batch_conditions:
-            return self._verify_batched(B, t0, scale)
-        reports: List[ConditionReport] = []
-        certs: List[ConditionCertificate] = []
-        lambda_poly: Optional[Polynomial] = None
-        lambda_polys: dict = {}
-
-        # (13): B >= 0 on Theta — one Putinar certificate per cell; a
-        # composite Theta passes only when every cell does (the cells
-        # cover the region, so the conjunction implies the condition)
-        theta_cells = self.problem.theta.decompose()
-        for ci, cell in enumerate(theta_cells):
-            rep, _, cert = self._putinar_check(
-                _cell_name("init", ci, len(theta_cells)),
-                B, cell, margin=cfg.eps_init, ws_key=_ws_key("init", ci, len(theta_cells)),
-            )
-            reports.append(rep)
-            if cert is not None:
-                certs.append(cert)
-            if not rep.ok:
-                break
-
-        # (14): B < 0 on Xi  <=>  -B - eps1 >= 0
-        if all(r.ok for r in reports):
-            xi_cells = self.problem.xi.decompose()
-            for ci, cell in enumerate(xi_cells):
-                rep_u, _, cert_u = self._putinar_check(
-                    _cell_name("unsafe", ci, len(xi_cells)),
-                    -1.0 * B, cell, margin=cfg.eps_unsafe,
-                    ws_key=_ws_key("unsafe", ci, len(xi_cells)),
-                )
-                reports.append(rep_u)
-                if cert_u is not None:
-                    certs.append(cert_u)
-                if not rep_u.ok:
-                    break
-        else:
-            reports.append(
-                ConditionReport("unsafe", False, False, 0.0, "skipped (init failed)")
-            )
-
-        # (15): Lie condition at every inclusion-error endpoint, per cell
-        if all(r.ok for r in reports):
-            endpoints = self._error_endpoints()
-            psi_cells = self.problem.psi.decompose()
-            failed = False
-            for idx, w in enumerate(endpoints):
-                field_polys = self.problem.system.closed_loop(
-                    self.controller_polys, error=list(w)
-                )
-                lfb = lie_derivative(B, field_polys)
-                ename = "lie" if len(endpoints) == 1 else f"lie[w={np.round(w, 6).tolist()}]"
-                for ci, cell in enumerate(psi_cells):
-                    name = _cell_name(ename, ci, len(psi_cells))
-                    rep_l, lam, cert_l = self._putinar_check(
-                        name,
-                        lfb,
-                        cell,
-                        margin=cfg.eps_lie,
-                        free_lambda_times=B,
-                        endpoint=w,
-                        ws_key=_ws_key("lie", ci, len(psi_cells)),
-                    )
-                    reports.append(rep_l)
-                    if cert_l is not None:
-                        certs.append(cert_l)
-                    if lam is not None:
-                        lambda_polys[name] = lam
-                        if lambda_poly is None:
-                            lambda_poly = lam
-                    if not rep_l.ok:
-                        failed = True
-                        break
-                if failed:
-                    break
-        else:
-            reports.append(
-                ConditionReport("lie", False, False, 0.0, "skipped (earlier failure)")
-            )
-
-        ok = all(r.ok for r in reports)
-        tel = get_telemetry()
-        tel.metrics.inc("verifier.verifications")
-        if not ok:
-            tel.metrics.inc("verifier.rejections")
-        return VerificationResult(
-            ok=ok,
-            conditions=reports,
-            elapsed_seconds=time.perf_counter() - t0,
-            lambda_poly=lambda_poly,
-            lambda_polys=lambda_polys or None,
-            certificate=self._bundle(B, scale, certs) if ok else None,
-        )
+        plan: Iterable[_Condition] = self._plan(B)
+        execute: _Executor = self._solve_condition
+        if self.config.parallel:
+            plan = list(plan)
+            pooled = self._pool_executor(plan)
+            if pooled is not None:  # else: no pool -> the serial executor
+                execute = pooled
+        return self._assemble(plan, execute, B, t0, scale)
 
     def _bundle(
         self,
@@ -728,11 +599,30 @@ class SOSVerifier:
             conditions=certs,
         )
 
-    def _lie_preps(self, B: Polynomial) -> List[_PreparedCondition]:
-        """Compile the Lie condition (15) at every inclusion-error
-        endpoint, per Psi cell."""
+    def _plan(self, B: Polynomial) -> Iterator[_Condition]:
+        """The condition sub-problems for candidate ``B``, in serial order.
+
+        (13) ``B >= 0`` on every Theta cell, (14) ``-B - eps1 >= 0`` on
+        every Xi cell, then (15) the Lie condition at every
+        inclusion-error endpoint on every Psi cell.  A composite region
+        passes only when every cell does (the cells cover the region, so
+        the conjunction implies the condition).  The plan is lazy: a
+        region is decomposed, and a Lie derivative formed, only when the
+        walk reaches it.
+        """
         cfg = self.config
-        preps = []
+        theta_cells = self.problem.theta.decompose()
+        for ci, cell in enumerate(theta_cells):
+            yield _Condition(
+                _cell_name("init", ci, len(theta_cells)), B, cell,
+                cfg.eps_init, ws_key=_ws_key("init", ci, len(theta_cells)),
+            )
+        xi_cells = self.problem.xi.decompose()
+        for ci, cell in enumerate(xi_cells):
+            yield _Condition(
+                _cell_name("unsafe", ci, len(xi_cells)), -1.0 * B, cell,
+                cfg.eps_unsafe, ws_key=_ws_key("unsafe", ci, len(xi_cells)),
+            )
         endpoints = self._error_endpoints()
         psi_cells = self.problem.psi.decompose()
         for w in endpoints:
@@ -744,66 +634,35 @@ class SOSVerifier:
                 "lie" if len(endpoints) == 1 else f"lie[w={np.round(w, 6).tolist()}]"
             )
             for ci, cell in enumerate(psi_cells):
-                preps.append(
-                    self._prepare(
-                        _cell_name(ename, ci, len(psi_cells)),
-                        lfb, cell, cfg.eps_lie,
-                        free_lambda_times=B, endpoint=w,
-                        ws_key=_ws_key("lie", ci, len(psi_cells)),
-                    )
+                yield _Condition(
+                    _cell_name(ename, ci, len(psi_cells)), lfb, cell,
+                    cfg.eps_lie, free_lambda_times=B, endpoint=w,
+                    ws_key=_ws_key("lie", ci, len(psi_cells)),
                 )
-        return preps
 
-    def _condition_preps(
-        self, B: Polynomial
-    ) -> Tuple[List[_PreparedCondition], int, int]:
-        """Compile every condition SDP (per cell, per endpoint) up front.
-
-        Returns the prep list plus the init/unsafe cell counts so
-        :meth:`_assemble` can slice it back into condition groups.
-        """
+    def _solve_condition(
+        self, cond: _Condition
+    ) -> Tuple[_PreparedCondition, SDPResult]:
+        """The serial executor: compile ``cond`` and solve it now."""
         cfg = self.config
-        theta_cells = self.problem.theta.decompose()
-        xi_cells = self.problem.xi.decompose()
-        preps = [
-            self._prepare(
-                _cell_name("init", ci, len(theta_cells)), B, cell,
-                cfg.eps_init, ws_key=_ws_key("init", ci, len(theta_cells)),
-            )
-            for ci, cell in enumerate(theta_cells)
-        ]
-        preps.extend(
-            self._prepare(
-                _cell_name("unsafe", ci, len(xi_cells)), -1.0 * B, cell,
-                cfg.eps_unsafe, ws_key=_ws_key("unsafe", ci, len(xi_cells)),
-            )
-            for ci, cell in enumerate(xi_cells)
-        )
-        preps.extend(self._lie_preps(B))
-        return preps, len(theta_cells), len(xi_cells)
+        prep = self._prepare(cond)
+        return prep, solve_sdp_resilient(prep.sdp, cfg.sdp_options, cfg.recovery)
 
-    def _verify_parallel(
-        self, B: Polynomial, t0: float, scale: float
-    ) -> Optional[VerificationResult]:
-        """Solve all condition SDPs concurrently in a process pool.
-
-        Every condition is compiled and solved up front; the serial path's
-        skip/short-circuit semantics (unsafe skipped after an init failure,
-        the Lie loop stopping at the first failing endpoint) are then
-        reconstructed during assembly, so the returned
-        :class:`VerificationResult` matches the serial one field for field
-        (wall-clock timings aside).  Returns ``None`` when the pool cannot
-        be created or a worker dies — callers fall back to serial.
-        """
+    def _pool_executor(self, plan: List[_Condition]) -> Optional[_Executor]:
+        """The pool executor: compile every condition of ``plan`` and
+        solve them all concurrently in a process pool, then serve the
+        precomputed results.  ``None`` when the pool cannot be created or
+        a worker dies — the caller then falls back to the serial
+        executor."""
         cfg = self.config
         tel = get_telemetry()
-        preps, n_init, n_unsafe = self._condition_preps(B)
+        preps = [self._prepare(cond) for cond in plan]
 
         # trace propagation: when this run is traced, each submission
         # carries a TraceContext and a shard file the worker's session
         # writes; the shards are merged back below (also after a crash,
         # so completed workers' spans survive a broken pool).  Untraced
-        # runs submit with ctx=None — the pre-PR worker path, unchanged.
+        # runs submit with ctx=None and the worker solves untraced.
         profile_workers = get_active_profiler() is not None
         shard_dir: Optional[str] = None
         shards: List[Tuple[Optional[TraceContext], Optional[str]]] = []
@@ -841,10 +700,10 @@ class SOSVerifier:
             ) as pool:
                 futures = []
                 for i, (p, (ctx, shard_path)) in enumerate(zip(preps, shards)):
-                    tel.status_worker(i, state="submitted", task=p.name)
+                    tel.status_worker(i, state="submitted", task=p.cond.name)
                     futures.append(pool.submit(
                         _solve_sdp_task, p.sdp, cfg.sdp_options, cfg.recovery,
-                        ctx, shard_path, self._warm_for(p.name),
+                        ctx, shard_path,
                     ))
                 fault_point("verifier.pool")
                 results = []
@@ -869,107 +728,53 @@ class SOSVerifier:
             return None
         merge_worker_shards()
         tel.metrics.inc("verifier.pool.tasks", len(preps))
-        for p, res in zip(preps, results):
-            self._note_warm(p.name, res)
-        return self._assemble(preps, results, B, t0, scale, n_init, n_unsafe)
-
-    def _verify_batched(
-        self, B: Polynomial, t0: float, scale: float
-    ) -> VerificationResult:
-        """Solve all condition SDPs as one lockstep block batch.
-
-        The three LMIs (13)-(15) are independent, so their block-diagonal
-        composition decomposes exactly (see
-        :func:`repro.sdp.problem.compose_block_diagonal`); the lockstep
-        driver advances the lanes together, performing per lane the same
-        float operations as serial solves — the assembled
-        :class:`VerificationResult` is bitwise-identical to the serial
-        path's, with skip/short-circuit semantics reconstructed just like
-        the pool path.
-        """
-        cfg = self.config
-        preps, n_init, n_unsafe = self._condition_preps(B)
-        results = solve_sdp_batch_resilient(
-            [p.sdp for p in preps],
-            cfg.sdp_options,
-            cfg.recovery,
-            warm_starts=[self._warm_for(p.name) for p in preps],
-        )
-        for p, res in zip(preps, results):
-            self._note_warm(p.name, res)
-        return self._assemble(preps, results, B, t0, scale, n_init, n_unsafe)
+        solved = {p.cond.name: (p, res) for p, res in zip(preps, results)}
+        return lambda cond: solved[cond.name]
 
     def _assemble(
         self,
-        preps: List[_PreparedCondition],
-        results: List[SDPResult],
+        plan: Iterable[_Condition],
+        execute: _Executor,
         B: Polynomial,
         t0: float,
         scale: float,
-        n_init: int = 1,
-        n_unsafe: int = 1,
     ) -> VerificationResult:
-        """Turn eagerly-computed per-condition solves into the serial
-        path's :class:`VerificationResult`: finish conditions in serial
-        order and reconstruct the skip/short-circuit semantics (unsafe
-        skipped after an init failure, the Lie loop stopping at the first
-        failing endpoint/cell).  ``n_init``/``n_unsafe`` are the Theta/Xi
-        cell counts, slicing the flat prep list back into condition
-        groups.  Shared by the pool and batched paths."""
+        """Walk ``plan`` in serial order, finishing each condition from
+        the solve ``execute`` returns for it.
+
+        The walk stops at the first failing condition; every family
+        after it gets one "skipped" report (unsafe after an init
+        failure, the Lie family after any earlier failure), so
+        ``execute`` is never asked for a condition past the first
+        failure.
+        """
         tel = get_telemetry()
-
-        def finish(prep: _PreparedCondition, res: SDPResult):
-            with tel.span(
-                "verifier.condition",
-                condition=prep.name,
-                paper_condition=PAPER_CONDITION_NUMBERS.get(prep.base),
-            ) as span:
-                return self._finish(prep, res, t0, span=span)
-
         reports: List[ConditionReport] = []
         certs: List[ConditionCertificate] = []
         lambda_poly: Optional[Polynomial] = None
         lambda_polys: dict = {}
-        for prep, res in zip(preps[:n_init], results[:n_init]):
-            rep_init, _, cert_i = finish(prep, res)
-            reports.append(rep_init)
-            if cert_i is not None:
-                certs.append(cert_i)
-            if not rep_init.ok:
+        for cond in plan:
+            t_cond = time.perf_counter()
+            with tel.span(
+                "verifier.condition",
+                condition=cond.name,
+                paper_condition=PAPER_CONDITION_NUMBERS.get(cond.base),
+            ) as span:
+                prep, result = execute(cond)
+                rep, lam, cert = self._finish(prep, result, t_cond, span=span)
+            reports.append(rep)
+            if cert is not None:
+                certs.append(cert)
+            if lam is not None:
+                lambda_polys[cond.name] = lam
+                if lambda_poly is None:
+                    lambda_poly = lam
+            if not rep.ok:
+                reports.extend(
+                    ConditionReport(family, False, False, 0.0, message)
+                    for family, message in _SKIPPED_AFTER[cond.base]
+                )
                 break
-        if all(r.ok for r in reports):
-            for prep, res in zip(
-                preps[n_init:n_init + n_unsafe],
-                results[n_init:n_init + n_unsafe],
-            ):
-                rep_u, _, cert_u = finish(prep, res)
-                reports.append(rep_u)
-                if cert_u is not None:
-                    certs.append(cert_u)
-                if not rep_u.ok:
-                    break
-        else:
-            reports.append(
-                ConditionReport("unsafe", False, False, 0.0, "skipped (init failed)")
-            )
-        if all(r.ok for r in reports):
-            for prep, res in zip(
-                preps[n_init + n_unsafe:], results[n_init + n_unsafe:]
-            ):
-                rep_l, lam, cert_l = finish(prep, res)
-                reports.append(rep_l)
-                if cert_l is not None:
-                    certs.append(cert_l)
-                if lam is not None:
-                    lambda_polys[prep.name] = lam
-                    if lambda_poly is None:
-                        lambda_poly = lam
-                if not rep_l.ok:
-                    break
-        else:
-            reports.append(
-                ConditionReport("lie", False, False, 0.0, "skipped (earlier failure)")
-            )
         ok = all(r.ok for r in reports)
         tel.metrics.inc("verifier.verifications")
         if not ok:

@@ -3,7 +3,8 @@
 Every default-on optimization (SOS workspace cache, tape replay,
 compile-field memoization, incremental field values, vectorized design
 matrix) must be *bitwise* identical to its reference path; parallel
-verification must reproduce the serial :class:`VerificationResult`.
+verification must reproduce the serial :class:`VerificationResult`, and
+the serial verifier must stop at the first failing condition.
 """
 
 import math
@@ -23,7 +24,8 @@ from repro.poly.fast_eval import (
     set_compile_cache_enabled,
 )
 from repro.poly.monomials import monomials_upto
-from repro.sets import Box
+from repro.sets import Box, UnionSet
+from repro.telemetry import InMemorySink, configure, disable
 from repro.verifier import SOSVerifier, VerifierConfig
 
 
@@ -85,6 +87,23 @@ def assert_results_identical(a, b):
         assert la[k].coeffs == lb[k].coeffs
 
 
+def assert_certificates_identical(a, b):
+    """Bitwise equality of two CertificateBundles."""
+    if a is None or b is None:
+        assert a is b
+        return
+    assert a.barrier.coeffs == b.barrier.coeffs
+    assert a.barrier_scale == b.barrier_scale
+    assert len(a.conditions) == len(b.conditions)
+    for ca, cb in zip(a.conditions, b.conditions):
+        assert ca.name == cb.name
+        assert ca.margin == cb.margin
+        assert np.array_equal(ca.slack_gram, cb.slack_gram)
+        assert len(ca.multipliers) == len(cb.multipliers)
+        for ma, mb in zip(ca.multipliers, cb.multipliers):
+            assert np.array_equal(ma.gram, mb.gram)
+
+
 # ----------------------------------------------------------------------
 # SOS workspace cache
 # ----------------------------------------------------------------------
@@ -129,7 +148,9 @@ def test_parallel_verify_equals_serial():
         prob, [], config=VerifierConfig(parallel=True, max_workers=2)
     )
     for candidate in (radial_barrier(2), -1.0 * radial_barrier(2)):
-        assert_results_identical(par.verify(candidate), serial.verify(candidate))
+        ra, rb = par.verify(candidate), serial.verify(candidate)
+        assert_results_identical(ra, rb)
+        assert_certificates_identical(ra.certificate, rb.certificate)
 
 
 def test_parallel_verify_c1_smoke_equals_serial():
@@ -286,95 +307,64 @@ def test_compiled_violation_kernels_match_reference():
 
 
 # ----------------------------------------------------------------------
-# batched tri-condition solves + warm starts (solver fast path, PR 8)
+# serial short-circuit: nothing past the first failure is compiled
 # ----------------------------------------------------------------------
-def _condition_iterations(result):
-    return sum(
-        c.sdp_iterations
-        for c in result.conditions
-        if c.sdp_iterations is not None and c.sdp_iterations > 0
-    )
-
-
-def assert_certificates_identical(a, b):
-    """Bitwise equality of two CertificateBundles."""
-    if a is None or b is None:
-        assert a is b
-        return
-    assert a.barrier.coeffs == b.barrier.coeffs
-    assert a.barrier_scale == b.barrier_scale
-    assert len(a.conditions) == len(b.conditions)
-    for ca, cb in zip(a.conditions, b.conditions):
-        assert ca.name == cb.name
-        assert ca.margin == cb.margin
-        assert np.array_equal(ca.slack_gram, cb.slack_gram)
-        assert len(ca.multipliers) == len(cb.multipliers)
-        for ma, mb in zip(ca.multipliers, cb.multipliers):
-            assert np.array_equal(ma.gram, mb.gram)
-
-
-def test_batched_verify_equals_serial():
+def _two_cell_theta_problem():
+    """Decay problem whose Theta is two boxes; ``-radial_barrier`` fails
+    (13) on the first one already."""
     prob = decay_problem()
-    serial = SOSVerifier(
-        prob, [], config=VerifierConfig(batch_conditions=False)
+    return CCDS(
+        prob.system,
+        theta=UnionSet(
+            [Box.cube(2, -0.5, 0.0, name="a"), Box.cube(2, 0.0, 0.5, name="b")],
+            name="theta",
+        ),
+        psi=prob.psi,
+        xi=prob.xi,
     )
-    batched = SOSVerifier(
-        prob, [], config=VerifierConfig(batch_conditions=True)
-    )
-    # passing and failing candidates: the batched path must reproduce the
-    # serial skip/short-circuit semantics bitwise
-    for candidate in (radial_barrier(2), -1.0 * radial_barrier(2)):
-        ra = batched.verify(candidate)
-        rb = serial.verify(candidate)
-        assert_results_identical(ra, rb)
-        assert_certificates_identical(ra.certificate, rb.certificate)
 
 
-def test_batched_and_warm_verify_c1_candidate():
+def _q1_problem():
     from repro.benchmarks import get_benchmark
-    from repro.cegis import SNBC
 
-    spec = get_benchmark("C1")
-    problem = spec.make_problem()
-    result = SNBC(problem, controller=spec.make_controller()).run()
-    assert result.success
-    B = result.barrier
-    h = result.inclusion.polynomials
-    sigma = result.inclusion.sigma_star
-
-    serial = SOSVerifier(problem, h, sigma, config=VerifierConfig())
-    batched = SOSVerifier(
-        problem, h, sigma, config=VerifierConfig(batch_conditions=True)
-    )
-    rs = serial.verify(B)
-    rb = batched.verify(B)
-    assert rs.ok
-    assert_results_identical(rb, rs)
-    assert_certificates_identical(rb.certificate, rs.certificate)
-
-    # warm starting is NOT bitwise (different central path) but must be
-    # verdict-equivalent and must not cost extra IPM iterations
-    warm = SOSVerifier(
-        problem, h, sigma, config=VerifierConfig(warm_start=True)
-    )
-    warm.verify(B)  # seeds the per-condition warm-start store
-    rw = warm.verify(B)
-    assert rw.ok == rs.ok
-    assert [
-        (c.name, c.feasible, c.validated) for c in rw.conditions
-    ] == [(c.name, c.feasible, c.validated) for c in rs.conditions]
-    assert _condition_iterations(rw) <= _condition_iterations(rs)
+    return get_benchmark("Q1").make_problem()
 
 
-def test_warm_store_cleared_on_failure():
-    prob = decay_problem()
-    v = SOSVerifier(prob, [], config=VerifierConfig(warm_start=True))
-    good = radial_barrier(2)
-    v.verify(good)
-    assert v._warm  # seeded by the successful solves
-    v.verify(-1.0 * good)
-    # conditions that now fail must not keep a stale warm point
-    for name, ws in v._warm.items():
-        assert ws is not None
-    r = v.verify(good)
-    assert r.ok
+@pytest.mark.parametrize(
+    "make_problem,init_names",
+    [
+        (decay_problem, ["init"]),
+        (_two_cell_theta_problem, ["init[cell0]"]),
+        (_q1_problem, ["init"]),
+    ],
+    ids=["decay", "decay-two-cell-theta", "Q1"],
+)
+def test_serial_verify_stops_at_first_failing_init_cell(make_problem, init_names):
+    prob = make_problem()
+    h = [Polynomial.constant(2, 0.0)] * prob.system.n_inputs
+    v = SOSVerifier(prob, h)
+    sink = InMemorySink()
+    tel = configure(sink)
+    try:
+        result = v.verify(-1.0 * radial_barrier(2))
+        counters = tel.metrics.summary()["counters"]
+    finally:
+        disable()
+    assert not result.ok
+    n_init = len(init_names)
+    assert [c.name for c in result.conditions] == init_names + ["unsafe", "lie"]
+    assert not result.conditions[n_init - 1].ok
+    assert [c.message for c in result.conditions[n_init:]] == [
+        "skipped (init failed)",
+        "skipped (earlier failure)",
+    ]
+    # only the init cells up to the failing one were compiled ...
+    assert counters.get("verifier.workspace.misses") == n_init
+    assert "verifier.workspace.hits" not in counters
+    # ... and solved: every SDP solve (recovery rungs included) ran
+    # inside one of their condition spans
+    conditions = sink.spans("verifier.condition")
+    assert [e["attrs"]["condition"] for e in conditions] == init_names
+    solves = sink.spans("sdp.solve")
+    assert solves
+    assert {e["parent_id"] for e in solves} <= {e["span_id"] for e in conditions}

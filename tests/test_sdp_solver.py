@@ -183,150 +183,107 @@ def test_constraint_matrix_and_split():
 
 
 # ----------------------------------------------------------------------
-# solver fast path: kernels, batching, warm starts (PR 8)
+# solver kernels against their scipy / broadcast-matmul references
 # ----------------------------------------------------------------------
-def _random_feasible_sdp(n, m, seed):
-    """Strictly feasible random SDP built from a known interior pair."""
+def _spd(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T + n * np.eye(n)
+
+
+def _sym(rng, n):
+    A = rng.normal(size=(n, n))
+    return 0.5 * (A + A.T)
+
+
+def _not_pd(n):
+    """Symmetric, finite and indefinite: every Cholesky must fail."""
+    M = np.eye(n)
+    M[-1, -1] = -1.0
+    return M
+
+
+KERNEL_CASES = [(3, 4, 0), (6, 9, 1), (8, 12, 2)]
+
+
+@pytest.mark.parametrize("n,m,seed", KERNEL_CASES)
+def test_potrf_potrs_bitwise_identical_to_cho_factor(n, m, seed):
+    from scipy.linalg import cho_factor, cho_solve
+
+    from repro.sdp.ipm import _potrf_upper, _potrs_upper
+
     rng = np.random.default_rng(seed)
-    X0 = rng.normal(size=(n, n))
-    X0 = X0 @ X0.T + n * np.eye(n)
-    Z0 = rng.normal(size=(n, n))
-    Z0 = Z0 @ Z0.T + n * np.eye(n)
-    y0 = rng.normal(size=m)
-    A_mats = []
-    for _ in range(m):
-        Ai = rng.normal(size=(n, n))
-        A_mats.append(0.5 * (Ai + Ai.T))
-    C = Z0 + sum(y0[i] * A_mats[i] for i in range(m))
-    prob = SDPProblem([n])
-    prob.set_objective([C])
-    for Ai in A_mats:
-        prob.add_constraint([Ai], float(np.sum(Ai * X0)))
-    return prob
+    M = _spd(rng, n)
+    c = _potrf_upper(M)
+    c_ref, lower = cho_factor(M)
+    assert not lower
+    assert np.array_equal(c, c_ref)
+    for rhs in (np.eye(n), rng.normal(size=n), rng.normal(size=(n, m))):
+        assert np.array_equal(_potrs_upper(c, rhs), cho_solve((c_ref, False), rhs))
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(_not_pd(n))
+    with pytest.raises(np.linalg.LinAlgError):
+        _potrf_upper(_not_pd(n))
 
 
-def assert_sdp_results_identical(a, b):
-    """Bitwise SDPResult equality (wall-clock trace timers aside)."""
-    assert a.status == b.status
-    assert a.iterations == b.iterations
-    assert a.message == b.message
-    assert a.convergence_class == b.convergence_class
-    for fa, fb in (
-        (a.primal_objective, b.primal_objective),
-        (a.dual_objective, b.dual_objective),
-        (a.gap, b.gap),
-        (a.primal_residual, b.primal_residual),
-        (a.dual_residual, b.dual_residual),
-    ):
-        assert (np.isnan(fa) and np.isnan(fb)) or fa == fb
-    for pa, pb in ((a.X, b.X), (a.Z, b.Z)):
-        if pa is None or pb is None:
-            assert pa is pb
-        else:
-            assert len(pa) == len(pb)
-            for Ma, Mb in zip(pa, pb):
-                assert np.array_equal(Ma, Mb)
-    if a.y is None or b.y is None:
-        assert a.y is b.y
-    else:
-        assert np.array_equal(a.y, b.y)
+@pytest.mark.parametrize("n,m,seed", KERNEL_CASES)
+def test_schur_block_bitwise_identical_to_broadcast_matmul(n, m, seed):
+    from repro.sdp import smat_batch, svec
+    from repro.sdp.ipm import _BlockData, _schur_block
+
+    rng = np.random.default_rng(seed)
+    svecs = np.stack([svec(_sym(rng, n)) for _ in range(m)])
+    blk = _BlockData(n, svecs)
+    dense = smat_batch(svecs, n)
+    for X, Zinv in ((_spd(rng, n), _spd(rng, n)), (_not_pd(n), _spd(rng, n))):
+        # reference: one batched 3-tensor matmul per block
+        U = X[None, :, :] @ dense @ Zinv[None, :, :]
+        U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
+        assert np.array_equal(_schur_block(X, Zinv, blk), svec(U) @ svecs.T)
 
 
-@pytest.mark.parametrize("n,m,seed", [(3, 4, 0), (6, 9, 1), (8, 12, 2)])
-def test_fast_kernels_bitwise_identical_to_legacy(n, m, seed):
-    prob = _random_feasible_sdp(n, m, seed)
-    fast = solve_sdp(prob, InteriorPointOptions(fast_kernels=True))
-    legacy = solve_sdp(prob, InteriorPointOptions(fast_kernels=False))
-    assert fast.status == SDPStatus.OPTIMAL
-    assert_sdp_results_identical(fast, legacy)
+def _max_step_reference(Mb, dMb):
+    """Line search through scipy's ``cholesky`` + ``solve_triangular``."""
+    from scipy.linalg import cholesky, solve_triangular
+
+    from repro.sdp.svec import sym
+
+    alpha = np.inf
+    for Mk, dMk in zip(Mb, dMb):
+        if not np.all(np.isfinite(dMk)):
+            return 0.0
+        try:
+            L = cholesky(Mk, lower=True)
+        except (np.linalg.LinAlgError, ValueError):
+            return 0.0
+        W = solve_triangular(L, dMk, lower=True)
+        W = solve_triangular(L, W.T, lower=True)
+        lam_min = float(np.linalg.eigvalsh(sym(W))[0])
+        if lam_min < 0:
+            alpha = min(alpha, -1.0 / lam_min)
+    return float(alpha)
 
 
-def test_structured_schur_mode_agrees_with_gemm():
-    prob = _random_feasible_sdp(6, 9, 4)
-    gemm = solve_sdp(prob, InteriorPointOptions(schur_mode="gemm"))
-    structured = solve_sdp(prob, InteriorPointOptions(schur_mode="structured"))
-    assert structured.status == SDPStatus.OPTIMAL
-    # structured congruence reorders float ops: close, not bitwise
-    assert structured.primal_objective == pytest.approx(
-        gemm.primal_objective, rel=1e-6, abs=1e-6
-    )
-    assert structured.dual_objective == pytest.approx(
-        gemm.dual_objective, rel=1e-6, abs=1e-6
-    )
+@pytest.mark.parametrize("n,m,seed", KERNEL_CASES)
+def test_max_step_factored_bitwise_identical_to_scipy_cholesky(n, m, seed):
+    from scipy.linalg import cholesky
 
+    from repro.sdp.ipm import _chol_lower_or_none, _IPMState
 
-def test_invalid_schur_mode_rejected():
-    with pytest.raises(ValueError):
-        solve_sdp(
-            _random_feasible_sdp(3, 4, 0),
-            InteriorPointOptions(schur_mode="bogus"),
-        )
-
-
-def test_batch_solve_bitwise_identical_to_serial():
-    from repro.sdp import solve_sdp_batch
-
-    probs = [
-        _random_feasible_sdp(3, 4, 10),
-        _random_feasible_sdp(6, 9, 11),
-        _random_feasible_sdp(4, 6, 12),
-    ]
-    serial = [solve_sdp(p) for p in probs]
-    batched = solve_sdp_batch(probs)
-    assert len(batched) == len(serial)
-    for s, b in zip(serial, batched):
-        assert_sdp_results_identical(s, b)
-
-
-def test_batch_solve_handles_heterogeneous_lanes():
-    from repro.sdp import solve_sdp_batch
-
-    inconsistent = SDPProblem([2])
-    inconsistent.add_constraint([unit(2, 0, 0)], 1.0)
-    inconsistent.add_constraint([unit(2, 0, 0)], 2.0)
-    empty = SDPProblem([3])
-    probs = [_random_feasible_sdp(4, 5, 13), inconsistent, empty]
-    batched = solve_sdp_batch(probs)
-    serial = [solve_sdp(p) for p in probs]
-    for s, b in zip(serial, batched):
-        assert_sdp_results_identical(s, b)
-    assert batched[1].status == SDPStatus.INCONSISTENT
-    assert batched[2].status == SDPStatus.OPTIMAL
-
-
-def test_warm_start_reduces_iterations():
-    from repro.sdp import WarmStart
-
-    prob = _random_feasible_sdp(6, 9, 20)
-    cold = solve_sdp(prob)
-    assert cold.status == SDPStatus.OPTIMAL
-    assert not cold.warm_started
-    ws = WarmStart.from_result(cold)
-    assert ws is not None
-    warm = solve_sdp(prob, warm_start=ws)
-    assert warm.status == SDPStatus.OPTIMAL
-    assert warm.warm_started
-    assert warm.iterations <= cold.iterations
-
-
-def test_warm_start_shape_mismatch_falls_back_to_cold():
-    from repro.sdp import WarmStart
-
-    donor = solve_sdp(_random_feasible_sdp(4, 5, 21))
-    ws = WarmStart.from_result(donor)
-    prob = _random_feasible_sdp(6, 9, 22)
-    cold = solve_sdp(prob)
-    mismatched = solve_sdp(prob, warm_start=ws)
-    assert not mismatched.warm_started
-    assert_sdp_results_identical(mismatched, cold)
-
-
-def test_warm_start_from_failed_result_is_none():
-    from repro.sdp import WarmStart
-    from repro.sdp.result import SDPResult
-
-    failed = SDPResult(status=SDPStatus.NUMERICAL_ERROR, message="boom")
-    assert WarmStart.from_result(failed) is None
+    rng = np.random.default_rng(seed)
+    Mb = [_spd(rng, n), _spd(rng, m)]
+    dMb = [10.0 * _sym(rng, n), 10.0 * _sym(rng, m)]
+    factors = [_chol_lower_or_none(Mk) for Mk in Mb]
+    for L, Mk in zip(factors, Mb):
+        assert np.array_equal(L, cholesky(Mk, lower=True))
+    alpha = _IPMState._max_step_factored(factors, dMb)
+    assert 0.0 < alpha < np.inf
+    assert alpha == _max_step_reference(Mb, dMb)
+    # a failed factor (non-PD or non-finite block) means a zero step
+    for bad in (_not_pd(n), np.full((n, n), np.nan)):
+        assert _chol_lower_or_none(bad) is None
+        bad_factors = [_chol_lower_or_none(bad), factors[1]]
+        assert _IPMState._max_step_factored(bad_factors, dMb) == 0.0
+        assert _max_step_reference([bad, Mb[1]], dMb) == 0.0
 
 
 def test_schur_regularization_guards():
@@ -359,44 +316,3 @@ def test_smat_batch_matches_scalar_smat():
     assert out.shape == (4, n, n)
     for k, A in enumerate(mats):
         assert np.array_equal(out[k], smat(vecs[k], n))
-
-
-def test_compose_block_diagonal_round_trip():
-    from repro.sdp import compose_block_diagonal
-
-    probs = [
-        _random_feasible_sdp(3, 4, 30),
-        _random_feasible_sdp(4, 6, 31),
-    ]
-    composed, comp = compose_block_diagonal(probs)
-    assert comp.n_groups == 2
-    assert composed.block_dims == (3, 4)
-    assert composed.n_constraints == 10
-    subs = comp.subproblems(composed)
-    for orig, sub in zip(probs, subs):
-        assert np.array_equal(
-            orig.constraint_matrix(), sub.constraint_matrix()
-        )
-        assert np.array_equal(orig.rhs(), sub.rhs())
-        assert_sdp_results_identical(solve_sdp(orig), solve_sdp(sub))
-
-
-def test_composed_solve_matches_independent_solves():
-    from repro.sdp import compose_block_diagonal
-
-    probs = [
-        _random_feasible_sdp(3, 4, 40),
-        _random_feasible_sdp(4, 5, 41),
-    ]
-    composed, comp = compose_block_diagonal(probs)
-    res = solve_sdp(composed)
-    assert res.status == SDPStatus.OPTIMAL
-    singles = [solve_sdp(p) for p in probs]
-    # block-diagonal coupling only via the barrier: objectives agree to
-    # solver tolerance, not bitwise
-    total = sum(s.primal_objective for s in singles)
-    assert res.primal_objective == pytest.approx(
-        total, rel=1e-5, abs=1e-5 * (1 + abs(total))
-    )
-    for sl, s in zip(comp.split_blocks(res.X), singles):
-        assert len(sl) == len(s.X)
