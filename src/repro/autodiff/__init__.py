@@ -1,14 +1,12 @@
 """A minimal reverse-mode automatic differentiation engine on numpy.
 
-Stands in for PyTorch in the Learner.  Only first-order gradients are
-supported; the Lie-derivative term of the barrier loss — which in a torch
-implementation needs grad-of-grad — is instead computed by an explicit
-tangent-propagation forward pass through the quadratic network (see
-:meth:`repro.nn.quadratic.QuadraticNetwork.forward_with_tangent`), so
-first-order reverse mode suffices for the whole training pipeline.
+Stands in for PyTorch for the generic networks: NN controllers, behaviour
+cloning and DDPG.  Only first-order gradients are supported.  The barrier
+Learner does not build graphs at all — its network is exactly a
+polynomial, so it trains in coefficient space with closed-form gradients
+(:mod:`repro.learner.kernel`).
 """
 
-from repro.autodiff.tape import Tape, TapeUnsupportedOp
 from repro.autodiff.tensor import Tensor, no_grad
 
-__all__ = ["Tape", "TapeUnsupportedOp", "Tensor", "no_grad"]
+__all__ = ["Tensor", "no_grad"]

@@ -44,15 +44,9 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A numpy array with an optional gradient and a backward closure.
+    """A numpy array with an optional gradient and a backward closure."""
 
-    Every op node additionally records its op name and static op
-    arguments (``_op``/``_args``) so a traced graph can be replayed by
-    :class:`repro.autodiff.tape.Tape` without rebuilding it.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_op", "_args")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
@@ -66,8 +60,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _grad_enabled()
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward
-        self._op: Optional[str] = None
-        self._args: tuple = ()
 
     # ------------------------------------------------------------------
     @property
@@ -97,7 +89,7 @@ class Tensor:
     def _lift(value) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _make(self, data, parents, backward, op=None, args=()) -> "Tensor":
+    def _make(self, data, parents, backward) -> "Tensor":
         # hot path: ops always hand in freshly computed float arrays, so
         # skip Tensor.__init__'s asarray round-trip and flag plumbing
         out = Tensor.__new__(Tensor)
@@ -115,8 +107,6 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
         out._backward = backward
-        out._op = op
-        out._args = args
         return out
 
     # -- arithmetic -----------------------------------------------------
@@ -130,7 +120,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        return self._make(out_data, (self, other), backward, "add")
+        return self._make(out_data, (self, other), backward)
 
     def __radd__(self, other) -> "Tensor":
         return self.__add__(other)
@@ -140,7 +130,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-g)
 
-        return self._make(-self.data, (self,), backward, "neg")
+        return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
         return self.__add__(self._lift(other).__neg__())
@@ -158,7 +148,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        return self._make(out_data, (self, other), backward, "mul")
+        return self._make(out_data, (self, other), backward)
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -175,7 +165,7 @@ class Tensor:
                     _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
                 )
 
-        return self._make(out_data, (self, other), backward, "div")
+        return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._lift(other).__truediv__(self)
@@ -189,7 +179,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * exponent * self.data ** (exponent - 1))
 
-        return self._make(out_data, (self,), backward, "pow", (exponent,))
+        return self._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
@@ -210,7 +200,7 @@ class Tensor:
                         _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape)
                     )
 
-        return self._make(out_data, (self, other), backward, "matmul")
+        return self._make(out_data, (self, other), backward)
 
     # -- reductions -----------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -224,7 +214,7 @@ class Tensor:
                 g_arr = np.expand_dims(g_arr, axis)
             self._accumulate(np.broadcast_to(g_arr, self.shape).copy())
 
-        return self._make(out_data, (self,), backward, "sum", (axis, keepdims))
+        return self._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -238,7 +228,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * (1.0 - out_data ** 2))
 
-        return self._make(out_data, (self,), backward, "tanh")
+        return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -247,7 +237,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * out_data * (1.0 - out_data))
 
-        return self._make(out_data, (self,), backward, "sigmoid")
+        return self._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0.0)
@@ -256,7 +246,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * (self.data > 0.0))
 
-        return self._make(out_data, (self,), backward, "relu")
+        return self._make(out_data, (self,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         out_data = np.where(self.data > 0.0, self.data, negative_slope * self.data)
@@ -265,7 +255,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * np.where(self.data > 0.0, 1.0, negative_slope))
 
-        return self._make(out_data, (self,), backward, "leaky_relu", (negative_slope,))
+        return self._make(out_data, (self,), backward)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -274,7 +264,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * out_data)
 
-        return self._make(out_data, (self,), backward, "exp")
+        return self._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
@@ -283,7 +273,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * np.sign(self.data))
 
-        return self._make(out_data, (self,), backward, "abs")
+        return self._make(out_data, (self,), backward)
 
     def maximum(self, other) -> "Tensor":
         """Elementwise max; gradient flows to the winning branch."""
@@ -297,7 +287,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * (~mask), other.shape))
 
-        return self._make(out_data, (self, other), backward, "maximum")
+        return self._make(out_data, (self, other), backward)
 
     @staticmethod
     def cat(tensors: List["Tensor"], axis: int = 1) -> "Tensor":
@@ -315,15 +305,12 @@ class Tensor:
                     t._accumulate(g[tuple(sl)])
 
         requires = any(t.requires_grad for t in tensors)
-        out = Tensor(
+        return Tensor(
             out_data,
             requires_grad=requires,
             _parents=tuple(tensors),
             _backward=backward,
         )
-        out._op = "cat"
-        out._args = (axis,)
-        return out
 
     def reshape(self, *shape) -> "Tensor":
         out_data = self.data.reshape(*shape)
@@ -332,7 +319,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g.reshape(self.shape))
 
-        return self._make(out_data, (self,), backward, "reshape", (shape,))
+        return self._make(out_data, (self,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -342,7 +329,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g.T)
 
-        return self._make(out_data, (self,), backward, "T")
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     def _accumulate(self, g: np.ndarray) -> None:

@@ -233,25 +233,13 @@ class FossilBaseline:
             u = np.zeros((len(pts), 0))
         f_vals = system.rhs(pts, u)
 
-        # reuse the learner's loss machinery with precomputed field values
-        from repro.learner.loss import barrier_loss
-
-        cfg = learner.config
+        # the learner's loss kernel, on precomputed true-closed-loop values
+        kernel = learner.loss_kernel(data, f_vals)
         last = None
-        for _ in range(cfg.epochs):
+        for _ in range(learner.config.epochs):
             learner.optimizer.zero_grad()
-            loss, terms = barrier_loss(
-                learner.b_net,
-                learner.lambda_net,
-                data,
-                f_vals,
-                eps=cfg.eps,
-                etas=cfg.etas,
-                negative_slope=cfg.negative_slope,
-            )
-            loss.backward()
+            last = kernel()
             learner.optimizer.step()
-            last = terms
         return last
 
     def _cex_ball(self, center: np.ndarray, cond: str) -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from repro.controllers.controller import NNController
 from repro.poly import Polynomial
-from repro.poly.monomials import monomials_upto
+from repro.poly.fast_eval import monomial_features
 from repro.resilience.errors import InclusionError
 from repro.resilience.faults import fault_point
 from repro.sets import Box
@@ -62,25 +62,6 @@ class PolynomialInclusion:
     def error_intervals(self) -> List[Tuple[float, float]]:
         """Per-output inclusion intervals ``[-sigma*, +sigma*]``."""
         return [(-s, s) for s in self.sigma_star]
-
-
-def _design_matrix(points: np.ndarray, degree: int) -> np.ndarray:
-    """Vandermonde-style matrix of ``[x]_degree`` monomials at mesh points.
-
-    One gather + product over the precomputed power tensor instead of a
-    per-monomial python loop; bitwise-identical to the loop since the
-    product runs over variables in the same order and ``x**0 == 1.0``
-    exactly.
-    """
-    m, n = points.shape
-    basis = monomials_upto(n, degree)
-    pows = np.ones((degree + 1, m, n))
-    for k in range(1, degree + 1):
-        pows[k] = pows[k - 1] * points
-    A = np.asarray(basis, dtype=np.int64)  # (t, n) exponent rows
-    # gathered[i, t, :] = points[:, i] ** A[t, i]
-    gathered = pows[A.T, :, np.arange(n)[:, None]]  # (n, t, m)
-    return gathered.prod(axis=0).T  # (m, t)
 
 
 def _chebyshev_lp(phi: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -174,7 +155,7 @@ def polynomial_inclusion(
             n_bad=int(np.sum(~np.isfinite(values))),
         )
     n_outputs = values.shape[1]
-    phi = _design_matrix(mesh, degree)
+    phi = monomial_features(mesh, degree)
 
     tel.metrics.gauge("inclusion.mesh_points", mesh.shape[0])
     polys: List[Polynomial] = []

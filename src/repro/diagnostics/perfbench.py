@@ -5,8 +5,8 @@ performance layer enabled (``seconds``) and with every optimization
 disabled (``reference_seconds``) — and records whether the two paths
 produced *identical* results.  The four benches:
 
-* ``train_epoch`` — Learner epochs with/without tape replay and the
-  compile-field cache;
+* ``train_epoch`` — Learner epochs (the coefficient-space loss kernel)
+  with the compile-field cache on vs off;
 * ``verify_iteration`` — repeated verification of one candidate with
   the default verifier (cached SOS workspaces) against a fresh symbolic
   build per call.  Both run the one solver path, so identity is bitwise
@@ -82,8 +82,8 @@ def _row(
 # the benches
 # ----------------------------------------------------------------------
 def bench_train_epoch(epochs: int = 200) -> Dict[str, Any]:
-    """Learner epochs on a C1-sized problem: tape replay + compile cache
-    vs the per-epoch graph rebuild."""
+    """Learner epochs on a C1-sized problem with the compile-field cache
+    on vs off; both run the one loss kernel, so identity is bitwise."""
     from repro.benchmarks import get_benchmark
     from repro.learner import BarrierLearner, LearnerConfig, TrainingData
     from repro.poly import Polynomial
@@ -95,21 +95,20 @@ def bench_train_epoch(epochs: int = 200) -> Dict[str, Any]:
     zero = Polynomial.constant(problem.n_vars, 0.0)
     field = problem.system.closed_loop([zero] * problem.system.n_inputs)
 
-    def run(use_tape: bool, cache: bool):
+    def run(cache: bool):
         old = set_compile_cache_enabled(cache)
         clear_compile_cache()
         try:
             learner = BarrierLearner(
-                problem.n_vars,
-                config=LearnerConfig(epochs=epochs, seed=3, use_tape=use_tape),
+                problem.n_vars, config=LearnerConfig(epochs=epochs, seed=3)
             )
             learner.fit(data, field)
             return learner
         finally:
             set_compile_cache_enabled(old)
 
-    t_opt, a = _timed(lambda: run(True, True))
-    t_ref, b = _timed(lambda: run(False, False))
+    t_opt, a = _timed(lambda: run(True))
+    t_ref, b = _timed(lambda: run(False))
     identical = all(
         np.array_equal(p.data, q.data) for p, q in zip(a._params, b._params)
     ) and [t.total for t in a.loss_history] == [t.total for t in b.loss_history]
@@ -208,9 +207,7 @@ def bench_e2e_c1() -> Dict[str, Any]:
                     lambda_degree=1, workspace_cache=optimized
                 ),
                 learner_config=LearnerConfig(
-                    seed=0,
-                    use_tape=optimized,
-                    incremental_field_values=optimized,
+                    seed=0, incremental_field_values=optimized
                 ),
             )
             return snbc.run()

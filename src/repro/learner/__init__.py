@@ -2,20 +2,24 @@
 
 * :mod:`repro.learner.datasets` — the sampled training sets ``S_I``, ``S_U``,
   ``S_D`` and their augmentation with counterexamples;
-* :mod:`repro.learner.loss` — the empirical violation loss (10) with the
-  LeakyReLU surrogate for ``max(eps, .)``;
+* :mod:`repro.learner.loss` — the loss terms of the empirical violation
+  loss (10) with the LeakyReLU surrogate for ``max(eps, .)``;
+* :mod:`repro.learner.kernel` — loss (10) and its closed-form gradient in
+  coefficient space: the quadratic network is exactly a polynomial, so
+  every term is linear in its monomial coefficients over features that
+  are precomputed once per fit;
 * :mod:`repro.learner.trainer` — Adam-based joint training of the quadratic
-  network ``B(x)`` and the multiplier network ``lambda(x)``, with the Lie
-  term computed by tangent propagation (no second-order autodiff needed).
+  network ``B(x)`` and the multiplier network ``lambda(x)``.
 """
 
 from repro.learner.datasets import TrainingData
-from repro.learner.loss import BarrierLossTerms, barrier_loss
+from repro.learner.loss import BarrierLossTerms
+from repro.learner.kernel import BarrierLossKernel
 from repro.learner.trainer import BarrierLearner, LearnerConfig
 
 __all__ = [
     "TrainingData",
-    "barrier_loss",
+    "BarrierLossKernel",
     "BarrierLossTerms",
     "BarrierLearner",
     "LearnerConfig",

@@ -12,18 +12,18 @@ Note: equation (10) as printed uses ``L_f B(s) - lambda(s)``; condition
 (iii) of Theorem 1 subtracts the *product* ``lambda(x) B(x)``.  The product
 form is the default here (it is what the Verifier certifies); the printed
 form is available via ``paper_printed_form=True`` for comparison.
+
+The loss and its gradient are computed in coefficient space by
+:class:`repro.learner.kernel.BarrierLossKernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from repro.autodiff import Tensor
-from repro.learner.datasets import TrainingData
-from repro.nn.layers import Module
 from repro.poly import Polynomial
 
 
@@ -42,74 +42,3 @@ def field_values(field: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
     from repro.poly.fast_eval import compile_field
 
     return compile_field(field)(points)
-
-
-def barrier_loss(
-    b_net: Module,
-    lambda_net: Module,
-    data: TrainingData,
-    domain_field_values: np.ndarray,
-    eps: float = 0.01,
-    etas: Tuple[float, float, float] = (1.0, 1.0, 1.0),
-    negative_slope: float = 0.0,
-    paper_printed_form: bool = False,
-    gain_field_values: Sequence[np.ndarray] = (),
-    sigma_star: Sequence[float] = (),
-    _components: Optional[dict] = None,
-) -> Tuple[Tensor, BarrierLossTerms]:
-    """Build the differentiable loss (10) for one optimization step.
-
-    ``domain_field_values`` are the closed-loop field evaluations at
-    ``data.s_domain`` (constant w.r.t. the trainable parameters, so they are
-    precomputed once per CEGIS round).
-
-    When the controller carries a nonzero inclusion error, passing the
-    per-input gain fields ``G_j`` (evaluated at the domain samples) and the
-    bounds ``sigma*_j`` trains the *robust* Lie margin
-    ``L_f B - sum_j sigma*_j |grad B . G_j| - lambda B``, matching what the
-    Verifier certifies at the error endpoints.
-    """
-    eta_d, eta_i, eta_u = etas
-
-    # L_I: want B >= 0 on Theta  -> penalize (eps - B)
-    b_init = b_net(Tensor(data.s_init))
-    loss_i = (Tensor(np.full(len(data.s_init), eps)) - b_init).leaky_relu(
-        negative_slope
-    ).mean()
-
-    # L_U: want B < 0 on Xi -> penalize (B + eps)
-    b_unsafe = b_net(Tensor(data.s_unsafe))
-    loss_u = (b_unsafe + eps).leaky_relu(negative_slope).mean()
-
-    # L_D: want L_f B - lambda * B > 0 on Psi -> penalize (eps - that)
-    b_dom, lie = b_net.forward_with_tangent(
-        Tensor(data.s_domain), Tensor(domain_field_values)
-    )
-    lam = lambda_net(Tensor(data.s_domain))
-    if paper_printed_form:
-        margin = lie - lam
-    else:
-        margin = lie - lam * b_dom
-    for g_vals, s in zip(gain_field_values, sigma_star):
-        if s <= 0.0:
-            continue
-        _, gain = b_net.forward_with_tangent(
-            Tensor(data.s_domain), Tensor(g_vals)
-        )
-        margin = margin - gain.abs() * float(s)
-    loss_d = (Tensor(np.full(len(data.s_domain), eps)) - margin).leaky_relu(
-        negative_slope
-    ).mean()
-
-    total = loss_d * eta_d + loss_i * eta_i + loss_u * eta_u
-    if _components is not None:
-        # hand the component tensors to tape-replay callers so they can
-        # recompute BarrierLossTerms without rebuilding the graph
-        _components.update(init=loss_i, unsafe=loss_u, domain=loss_d)
-    terms = BarrierLossTerms(
-        total=total.item(),
-        init=loss_i.item(),
-        unsafe=loss_u.item(),
-        domain=loss_d.item(),
-    )
-    return total, terms

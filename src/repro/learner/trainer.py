@@ -7,9 +7,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autodiff import Tape, TapeUnsupportedOp
 from repro.learner.datasets import TrainingData
-from repro.learner.loss import BarrierLossTerms, barrier_loss, field_values
+from repro.learner.kernel import BarrierLossKernel
+from repro.learner.loss import BarrierLossTerms, field_values
 from repro.nn import (
     Adam,
     ConstantMultiplier,
@@ -50,10 +50,6 @@ class LearnerConfig:
     #: architecture allows it (one hidden layer); see SNBC._warm_start
     warm_start: bool = True
     seed: int = 0
-    #: replay the loss graph with :class:`repro.autodiff.Tape` after the
-    #: first epoch of each fit (bitwise-identical, skips per-epoch graph
-    #: construction); falls back silently when the graph has unsupported ops
-    use_tape: bool = True
     #: when the training set grows (append-only counterexample rows),
     #: evaluate the closed-loop field only on the newly appended rows
     incremental_field_values: bool = True
@@ -113,12 +109,16 @@ class BarrierLearner:
 
         ``gain_fields``/``sigma_star`` activate the robust Lie margin for
         controllers with a nonzero inclusion error (see
-        :func:`repro.learner.loss.barrier_loss`).
+        :class:`repro.learner.kernel.BarrierLossKernel`).
         """
         cfg = self.config
         tel = get_telemetry()
-        f_vals = self._field_values(closed_loop_field, data.s_domain)
-        g_vals = [self._field_values(g, data.s_domain) for g in gain_fields]
+        kernel = self.loss_kernel(
+            data,
+            self._field_values(closed_loop_field, data.s_domain),
+            [self._field_values(g, data.s_domain) for g in gain_fields],
+            sigma_star,
+        )
         last: Optional[BarrierLossTerms] = None
         max_epochs = epochs if epochs is not None else cfg.epochs
         with tel.span(
@@ -126,45 +126,9 @@ class BarrierLearner:
         ) as span:
             epochs_run = 0
             converged = False
-            tape: Optional[Tape] = None
-            components: dict = {}
-            loss = None
-            use_tape = cfg.use_tape
             for _ in range(max_epochs):
                 self.optimizer.zero_grad()
-                if tape is None:
-                    loss, terms = barrier_loss(
-                        self.b_net,
-                        self.lambda_net,
-                        data,
-                        f_vals,
-                        eps=cfg.eps,
-                        etas=cfg.etas,
-                        negative_slope=cfg.negative_slope,
-                        paper_printed_form=cfg.paper_printed_form,
-                        gain_field_values=g_vals,
-                        sigma_star=sigma_star,
-                        _components=components,
-                    )
-                    loss.backward()
-                    if use_tape:
-                        # replay the captured graph for the remaining
-                        # epochs — bitwise-identical to rebuilding it
-                        try:
-                            tape = Tape(loss)
-                            tel.metrics.inc("learner.tape.traces")
-                        except TapeUnsupportedOp:
-                            use_tape = False
-                            tel.metrics.inc("learner.tape.fallbacks")
-                else:
-                    tape.run()
-                    tel.metrics.inc("learner.tape.replays")
-                    terms = BarrierLossTerms(
-                        total=loss.item(),
-                        init=components["init"].item(),
-                        unsafe=components["unsafe"].item(),
-                        domain=components["domain"].item(),
-                    )
+                terms = kernel()
                 if fired("learner.gradients"):
                     for p in self._params:
                         if p.grad is not None:
@@ -207,6 +171,30 @@ class BarrierLearner:
                 epochs_run=epochs_run, converged=converged, final_loss=last.total
             )
         return last
+
+    def loss_kernel(
+        self,
+        data: TrainingData,
+        domain_field_values: np.ndarray,
+        gain_field_values: Sequence[np.ndarray] = (),
+        sigma_star: Sequence[float] = (),
+    ) -> BarrierLossKernel:
+        """Loss (10) of this learner's networks on ``data``, with the
+        configured ``eps``/``etas``/surrogate; each call of the kernel is
+        one full-batch forward + backward."""
+        cfg = self.config
+        return BarrierLossKernel(
+            self.b_net,
+            self.lambda_net,
+            data,
+            domain_field_values,
+            eps=cfg.eps,
+            etas=cfg.etas,
+            negative_slope=cfg.negative_slope,
+            paper_printed_form=cfg.paper_printed_form,
+            gain_field_values=gain_field_values,
+            sigma_star=sigma_star,
+        )
 
     # ------------------------------------------------------------------
     def _field_values(
@@ -275,12 +263,10 @@ class BarrierLearner:
 
     def _grad_norm(self) -> float:
         """Global l2 norm of all parameter gradients (diagnostics)."""
-        total = 0.0
-        for p in self._params:
-            if p.grad is not None:
-                g = np.asarray(p.grad).ravel()
-                total += float(g @ g)
-        return float(np.sqrt(total))
+        g = np.concatenate(
+            [np.ravel(p.grad) for p in self._params if p.grad is not None]
+        )
+        return float(np.sqrt(g @ g))
 
     def candidate(self) -> Tuple[Polynomial, Polynomial]:
         """Extract the symbolic candidate ``(B~, lambda~)``."""

@@ -15,6 +15,10 @@ class Parameter(Tensor):
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
 
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add a closed-form gradient contribution (no graph involved)."""
+        self.grad = g if self.grad is None else self.grad + g
+
 
 class Module:
     """Base class: tracks parameters through attribute discovery."""

@@ -9,7 +9,7 @@ degree-1 polynomial exactly.  The ``c`` entries of Table 1 use
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,13 +52,33 @@ class LinearMultiplier(Module):
     def affine_coefficients(self) -> "tuple[np.ndarray, float]":
         """Collapse the layer stack: returns ``(w, c)`` with
         ``lambda(x) = w . x + c``."""
+        w, c, _ = self.affine_map()
+        return w, c
+
+    def affine_map(
+        self,
+    ) -> Tuple[np.ndarray, float, Callable[[np.ndarray, float], None]]:
+        """``(w, c, vjp)``: the collapsed affine coefficients and their
+        vector-Jacobian product, which accumulates the gradient of
+        ``g_w . w + g_c * c`` into every layer's ``W``/``b``."""
         n = self.layer_sizes[0]
         W_eff = np.eye(n)
         b_eff = np.zeros(n)
+        saved = []
         for layer in self.net:
+            saved.append((W_eff, b_eff))
             W_eff = W_eff @ layer.W.data
             b_eff = b_eff @ layer.W.data + layer.b.data
-        return W_eff[:, 0], float(b_eff[0])
+
+        def vjp(g_w: np.ndarray, g_c: float) -> None:
+            g_W, g_b = g_w[:, None], np.array([float(g_c)])
+            for layer, (W_in, b_in) in zip(reversed(self.net.modules), reversed(saved)):
+                W = layer.W.data
+                layer.W.accumulate_grad(W_in.T @ g_W + b_in[:, None] * g_b)
+                layer.b.accumulate_grad(g_b)
+                g_W, g_b = g_W @ W.T, W @ g_b
+
+        return W_eff[:, 0], float(b_eff[0]), vjp
 
     def to_polynomial(self) -> Polynomial:
         """The affine polynomial realized by the network."""
@@ -80,6 +100,17 @@ class ConstantMultiplier(Module):
     def __init__(self, n_vars: int, init: float = -1.0):
         self.n_vars = int(n_vars)
         self.value = Parameter(np.array([float(init)]))
+
+    def affine_map(
+        self,
+    ) -> Tuple[np.ndarray, float, Callable[[np.ndarray, float], None]]:
+        """``(0, value, vjp)`` — the same interface as
+        :meth:`LinearMultiplier.affine_map`."""
+
+        def vjp(g_w: np.ndarray, g_c: float) -> None:
+            self.value.accumulate_grad(np.array([float(g_c)]))
+
+        return np.zeros(self.n_vars), float(self.value.data[0]), vjp
 
     def forward(self, x: Tensor) -> Tensor:
         batch = x.shape[0]

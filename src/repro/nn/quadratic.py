@@ -14,13 +14,15 @@ removes the nonnegativity restriction of each unit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, no_grad
+from repro.autodiff import Tensor
 from repro.nn.layers import Module, Parameter
 from repro.poly import Polynomial
+from repro.poly.monomials import add_exponents, monomial_index_map, monomials_upto
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -28,7 +30,138 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
 
-class QuadraticNetwork(Module):
+@lru_cache(maxsize=None)
+def _product_plan(n_vars: int, degree: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the product of two ``[x]_degree`` coefficient rows lands in
+    ``[x]_{2 degree}``: ``target[p * t + q]`` is the index of monomial
+    ``p`` times monomial ``q``; ``order``/``starts`` group the pairs by
+    target for one ``np.add.reduceat``."""
+    basis = monomials_upto(n_vars, degree)
+    index = monomial_index_map(n_vars, 2 * degree)
+    target = np.array([index[add_exponents(a, b)] for a in basis for b in basis])
+    order = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[order], np.arange(len(index)))
+    return target, order, starts
+
+
+class _ProductNetwork(Module):
+    """Shared machinery of the product-activated networks: each hidden
+    unit multiplies two affine maps of the previous layer (tied for the
+    square activation), so the output is a polynomial of degree ``2^l``
+    whose coefficients are an explicit function of the weights."""
+
+    layer_sizes: List[int]
+    W_out: Parameter
+    b_out: Optional[Parameter]
+
+    def _factors(self) -> List[Tuple[Parameter, Parameter, Parameter, Parameter]]:
+        """Per hidden layer ``(W_a, b_a, W_b, b_b)``; the unit computes
+        ``(z W_a + b_a) * (z W_b + b_b)``, tied when ``W_b is W_a``."""
+        raise NotImplementedError  # pragma: no cover - interface
+
+    @property
+    def output_degree(self) -> int:
+        """Polynomial degree of the output: ``2^l``."""
+        return 2 ** len(self._factors())
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Evaluate ``B(x)`` for a batch; returns shape ``(batch,)``."""
+        z = x
+        for Wa, ba, Wb, bb in self._factors():
+            a = z @ Wa + ba
+            z = a * a if Wb is Wa else a * (z @ Wb + bb)
+        out = z @ self.W_out
+        if self.b_out is not None:
+            out = out + self.b_out
+        return out.reshape(-1)
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Input-gradient ``grad B`` at a batch of points (numpy, no graph).
+
+        Uses the closed-form layer recursion (paper's equation (9)).
+        """
+        z = np.atleast_2d(np.asarray(points, dtype=float))
+        batch, n = z.shape
+        # J holds dz/dx, shape (batch, width, n)
+        J = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
+        for Wa, ba, Wb, bb in self._factors():
+            a = z @ Wa.data + ba.data
+            bv = z @ Wb.data + bb.data
+            Ja = np.einsum("io,bin->bon", Wa.data, J)
+            Jb = np.einsum("io,bin->bon", Wb.data, J)
+            J = a[:, :, None] * Jb + bv[:, :, None] * Ja
+            z = a * bv
+        return np.einsum("bon,oq->bnq", J, self.W_out.data)[:, :, 0]
+
+    # ------------------------------------------------------------------
+    def coefficient_map(self) -> Tuple[np.ndarray, Callable[[np.ndarray], None]]:
+        """The output's coefficient vector ``c`` over ``[x]_{2^l}``
+        (grlex), and its vector-Jacobian product.
+
+        Each unit's coefficient row is an affine combination of the
+        previous layer's rows (the bias lands on the constant monomial);
+        a product of two rows is scattered into the doubled-degree basis
+        through the precomputed monomial product index.  ``vjp(g_c)``
+        accumulates ``(dc/dtheta)^T g_c`` into every parameter's
+        ``grad``.
+        """
+        n = self.layer_sizes[0]
+        factors = self._factors()
+        Z = np.eye(n + 1)[1:]  # x_i over [x]_1 = [1, x_1, ..., x_n]
+        degree = 1
+        saved = []
+        for Wa, ba, Wb, bb in factors:
+            A = Wa.data.T @ Z
+            A[:, 0] += ba.data
+            if Wb is Wa:
+                B = A
+            else:
+                B = Wb.data.T @ Z
+                B[:, 0] += bb.data
+            _, order, starts = _product_plan(n, degree)
+            P = (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
+            saved.append((Z, A, B, degree))
+            Z = np.add.reduceat(P[:, order], starts, axis=1)
+            degree *= 2
+        c = self.W_out.data[:, 0] @ Z
+        if self.b_out is not None:
+            c[0] += self.b_out.data[0]
+
+        def vjp(g_c: np.ndarray) -> None:
+            self.W_out.accumulate_grad((Z @ g_c)[:, None])
+            if self.b_out is not None:
+                self.b_out.accumulate_grad(g_c[:1])
+            g_Z = self.W_out.data * g_c  # (width, t): outer product
+            for k in range(len(factors) - 1, -1, -1):
+                Wa, ba, Wb, bb = factors[k]
+                Zin, A, B, deg = saved[k]
+                target = _product_plan(n, deg)[0]
+                g_P = g_Z[:, target].reshape(len(A), A.shape[1], A.shape[1])
+                g_A = (g_P @ B[:, :, None])[:, :, 0]
+                g_B = (A[:, None, :] @ g_P)[:, 0, :]
+                sides = [(Wa, ba, g_A + g_B)] if Wb is Wa else [
+                    (Wa, ba, g_A), (Wb, bb, g_B)
+                ]
+                for W, b, g in sides:
+                    W.accumulate_grad(Zin @ g.T)
+                    b.accumulate_grad(g[:, 0])
+                if k:  # the input layer's rows are constant
+                    g_Z = sum(W.data @ g for W, _, g in sides)
+
+        return c, vjp
+
+    def to_polynomial(self) -> Polynomial:
+        """Exact symbolic expansion of the network output (the same
+        coefficient map the Learner trains through)."""
+        c, _ = self.coefficient_map()
+        return Polynomial.from_coeff_vector(self.layer_sizes[0], self.output_degree, c)
+
+    def __repr__(self) -> str:
+        shape = "-".join(str(s) for s in self.layer_sizes + [1])
+        return f"{type(self).__name__}({shape}, degree={self.output_degree})"
+
+
+class QuadraticNetwork(_ProductNetwork):
     """Cross-product activated network producing a scalar polynomial output.
 
     Parameters
@@ -69,11 +202,6 @@ class QuadraticNetwork(Module):
     def n_hidden_layers(self) -> int:
         return len(self.W1)
 
-    @property
-    def output_degree(self) -> int:
-        """Polynomial degree of the output: ``2^l``."""
-        return 2 ** self.n_hidden_layers
-
     def init_from_quadratic_form(
         self,
         P: np.ndarray,
@@ -112,87 +240,11 @@ class QuadraticNetwork(Module):
         self.W_out.data = np.ones((h, 1))
         self.b_out.data = np.array([float(constant)])
 
-    # ------------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        """Evaluate ``B(x)`` for a batch; returns shape ``(batch,)``."""
-        z = x
-        for W1, b1, W2, b2 in zip(self.W1, self.b1, self.W2, self.b2):
-            z = (z @ W1 + b1) * (z @ W2 + b2)
-        out = z @ self.W_out
-        if self.b_out is not None:
-            out = out + self.b_out
-        return out.reshape(-1)
-
-    def forward_with_tangent(self, x: Tensor, xdot: Tensor) -> Tuple[Tensor, Tensor]:
-        """Jointly evaluate ``B(x)`` and the directional derivative
-        ``L_f B(x) = grad B(x) . xdot``.
-
-        The tangent is propagated through the same recursion
-        (``zdot -> adot * b + a * bdot``), so the result is an explicit
-        first-order computation in the parameters: backprop through it
-        trains the Lie-derivative loss term without second-order autodiff.
-        """
-        z, zdot = x, xdot
-        for W1, b1, W2, b2 in zip(self.W1, self.b1, self.W2, self.b2):
-            a = z @ W1 + b1
-            bb = z @ W2 + b2
-            adot = zdot @ W1
-            bbdot = zdot @ W2
-            z = a * bb
-            zdot = adot * bb + a * bbdot
-        out = z @ self.W_out
-        if self.b_out is not None:
-            out = out + self.b_out
-        lie = zdot @ self.W_out
-        return out.reshape(-1), lie.reshape(-1)
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Input-gradient ``grad B`` at a batch of points (numpy, no graph).
-
-        Uses the closed-form layer recursion (paper's equation (9)).
-        """
-        with no_grad():
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            batch, n = pts.shape
-            z = pts
-            # J holds dz/dx, shape (batch, width, n)
-            J = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-            for W1, b1, W2, b2 in zip(self.W1, self.b1, self.W2, self.b2):
-                a = z @ W1.data + b1.data
-                bb = z @ W2.data + b2.data
-                Ja = np.einsum("io,bin->bon", W1.data, J)
-                Jb = np.einsum("io,bin->bon", W2.data, J)
-                J = a[:, :, None] * Jb + bb[:, :, None] * Ja
-                z = a * bb
-            grad = np.einsum("bon,oq->bnq", J, self.W_out.data)[:, :, 0]
-        return grad
-
-    # ------------------------------------------------------------------
-    def to_polynomial(self) -> Polynomial:
-        """Exact symbolic expansion of the network output."""
-        n = self.layer_sizes[0]
-        z: List[Polynomial] = list(Polynomial.variables(n))
-        for W1, b1, W2, b2 in zip(self.W1, self.b1, self.W2, self.b2):
-            new_z: List[Polynomial] = []
-            for j in range(W1.data.shape[1]):
-                a = Polynomial.constant(n, float(b1.data[j]))
-                b = Polynomial.constant(n, float(b2.data[j]))
-                for i, zi in enumerate(z):
-                    a = a + zi * float(W1.data[i, j])
-                    b = b + zi * float(W2.data[i, j])
-                new_z.append(a * b)
-            z = new_z
-        out = Polynomial.constant(n, float(self.b_out.data[0]) if self.b_out is not None else 0.0)
-        for j, zj in enumerate(z):
-            out = out + zj * float(self.W_out.data[j, 0])
-        return out
-
-    def __repr__(self) -> str:
-        shape = "-".join(str(s) for s in self.layer_sizes + [1])
-        return f"QuadraticNetwork({shape}, degree={self.output_degree})"
+    def _factors(self):
+        return list(zip(self.W1, self.b1, self.W2, self.b2))
 
 
-class SquareNetwork(Module):
+class SquareNetwork(_ProductNetwork):
     """Square-activation network ``x^(i) = (W x^(i-1) + b)^2`` (ablation).
 
     Same output degree ``2^l`` as :class:`QuadraticNetwork` with half the
@@ -217,10 +269,6 @@ class SquareNetwork(Module):
             self.b.append(Parameter(rng.uniform(-0.1, 0.1, size=n_out)))
         self.W_out = Parameter(_glorot(rng, self.layer_sizes[-1], 1))
         self.b_out = Parameter(np.zeros(1)) if output_bias else None
-
-    @property
-    def output_degree(self) -> int:
-        return 2 ** len(self.W)
 
     def init_from_quadratic_form(
         self,
@@ -252,44 +300,5 @@ class SquareNetwork(Module):
         self.W_out.data = W_out
         self.b_out.data = np.array([float(constant)])
 
-    def forward(self, x: Tensor) -> Tensor:
-        z = x
-        for W, b in zip(self.W, self.b):
-            pre = z @ W + b
-            z = pre * pre
-        out = z @ self.W_out
-        if self.b_out is not None:
-            out = out + self.b_out
-        return out.reshape(-1)
-
-    def forward_with_tangent(self, x: Tensor, xdot: Tensor) -> Tuple[Tensor, Tensor]:
-        z, zdot = x, xdot
-        for W, b in zip(self.W, self.b):
-            pre = z @ W + b
-            predot = zdot @ W
-            z = pre * pre
-            zdot = 2.0 * pre * predot
-        out = z @ self.W_out
-        if self.b_out is not None:
-            out = out + self.b_out
-        return out.reshape(-1), (zdot @ self.W_out).reshape(-1)
-
-    def to_polynomial(self) -> Polynomial:
-        n = self.layer_sizes[0]
-        z: List[Polynomial] = list(Polynomial.variables(n))
-        for W, b in zip(self.W, self.b):
-            new_z = []
-            for j in range(W.data.shape[1]):
-                pre = Polynomial.constant(n, float(b.data[j]))
-                for i, zi in enumerate(z):
-                    pre = pre + zi * float(W.data[i, j])
-                new_z.append(pre * pre)
-            z = new_z
-        out = Polynomial.constant(n, float(self.b_out.data[0]) if self.b_out is not None else 0.0)
-        for j, zj in enumerate(z):
-            out = out + zj * float(self.W_out.data[j, 0])
-        return out
-
-    def __repr__(self) -> str:
-        shape = "-".join(str(s) for s in self.layer_sizes + [1])
-        return f"SquareNetwork({shape}, degree={self.output_degree})"
+    def _factors(self):
+        return [(W, b, W, b) for W, b in zip(self.W, self.b)]

@@ -14,10 +14,12 @@ competitive; prefer :func:`compile_field` for systems.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.poly.monomials import monomial_index_map, monomials_upto
 from repro.poly.polynomial import Polynomial
 
 
@@ -82,6 +84,54 @@ class CompiledPolynomial:
             out = out[:, 0]
             return float(out[0]) if single_pt else out
         return out[0] if single_pt else out
+
+
+def monomial_features(points: np.ndarray, degree: int) -> np.ndarray:
+    """Vandermonde-style matrix of the ``[x]_degree`` monomials (grlex
+    order) at each point: shape ``(m, binom(n + degree, n))``.
+
+    One gather + product over the precomputed power tensor instead of a
+    per-monomial python loop; bitwise-identical to that loop since the
+    product runs over variables in the same order and ``x**0 == 1.0``
+    exactly.
+    """
+    m, n = points.shape
+    pows = np.ones((degree + 1, m, n))
+    for k in range(1, degree + 1):
+        pows[k] = pows[k - 1] * points
+    A = np.asarray(monomials_upto(n, degree), dtype=np.int64)  # (t, n)
+    # gathered[i, t, :] = points[:, i] ** A[t, i]
+    gathered = pows[A.T, :, np.arange(n)[:, None]]  # (n, t, m)
+    return gathered.prod(axis=0).T  # (m, t)
+
+
+@lru_cache(maxsize=None)
+def _derivative_index(n_vars: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lower, power)`` with ``d/dx_j x**a_k = power[k, j] *
+    x**a_lower[k, j]`` over ``[x]_degree``; ``lower`` points at the
+    constant monomial where ``power`` is 0."""
+    basis = monomials_upto(n_vars, degree)
+    index = monomial_index_map(n_vars, degree)
+    power = np.asarray(basis, dtype=float).reshape(len(basis), n_vars)
+    lower = np.zeros((len(basis), n_vars), dtype=np.int64)
+    for k, alpha in enumerate(basis):
+        for j in range(n_vars):
+            if alpha[j]:
+                lower[k, j] = index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+    return lower, power
+
+
+def directional_features(
+    features: np.ndarray, degree: int, directions: np.ndarray
+) -> np.ndarray:
+    """Directional derivatives ``sum_j v_j d/dx_j [x]_degree`` at the
+    points whose :func:`monomial_features` are ``features``, one direction
+    ``v`` per point (``directions`` has shape ``(m, n)``).  So for a
+    coefficient vector ``c``, ``directional_features(...) @ c`` is the
+    Lie derivative of ``[x]_degree . c`` along the field ``v``."""
+    lower, power = _derivative_index(directions.shape[1], degree)
+    # (m, t, n) derivative monomials, weighted by exponent and direction
+    return np.einsum("mtn,tn,mn->mt", features[:, lower], power, directions)
 
 
 #: memoized compilations, LRU-evicted; keyed on the exact coefficient

@@ -2,7 +2,7 @@
 
     python -m repro.soundness.fuzz                    # quick pass, seed 0
     python -m repro.soundness.fuzz --seed 1234        # replay a CI seed
-    python -m repro.soundness.fuzz --suite autodiff   # one suite only
+    python -m repro.soundness.fuzz --suite verifier   # one suite only
     REPRO_FUZZ_LONG=1 python -m repro.soundness.fuzz  # 20x examples
     python -m repro.soundness.fuzz --rounds 0         # loop forever
 
@@ -16,8 +16,6 @@ Suites
 ------
 ``exact``     rational LDL^T / Gram-expansion invariants of the exact
               checker's arithmetic core.
-``autodiff``  Tape replay vs naive backward on random small networks
-              (bitwise agreement).
 ``verifier``  SOS verifier vs interval branch-and-prune on random
               quadratic candidates over a decaying system family
               (one-sided: an SOS proof must never be refuted by a
@@ -100,47 +98,6 @@ def run_exact_suite(seed: int, n_examples: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# suite: tape vs naive autodiff
-# ----------------------------------------------------------------------
-def _network_case() -> st.Strategy:
-    # (n_in, n_hidden, batch, activation index, scale)
-    return st.tuples(
-        st.integers(1, 5),
-        st.integers(1, 6),
-        st.integers(1, 4),
-        st.integers(0, 3),
-        st.floats(0.1, 2.0),
-    )
-
-
-def _prop_tape_matches_naive(case) -> None:
-    from repro.autodiff import Tensor
-    from repro.soundness.oracles import compare_tape_gradients
-
-    n_in, n_hidden, batch, act, scale = case
-    rng = np.random.default_rng(abs(hash(case)) % (2**32))
-    W1 = Tensor(scale * rng.normal(size=(n_in, n_hidden)), requires_grad=True)
-    b1 = Tensor(rng.normal(size=(1, n_hidden)), requires_grad=True)
-    W2 = Tensor(rng.normal(size=(n_hidden, 1)), requires_grad=True)
-    X = Tensor(rng.normal(size=(batch, n_in)))
-
-    def build():
-        h = X @ W1 + b1
-        h = (h.tanh(), h.sigmoid(), h.relu(), h.exp())[act]
-        return ((h @ W2) ** 2.0).mean()
-
-    dis = compare_tape_gradients(build, [W1, b1, W2], dump=False)
-    assert not dis, "; ".join(str(d) for d in dis)
-
-
-def run_autodiff_suite(seed: int, n_examples: int) -> int:
-    return st.run_property(
-        "tape-vs-naive", _network_case(), _prop_tape_matches_naive,
-        n_examples=n_examples, seed=seed,
-    )
-
-
-# ----------------------------------------------------------------------
 # suite: SOS vs interval verifier
 # ----------------------------------------------------------------------
 def _quadratic_case() -> st.Strategy:
@@ -196,12 +153,11 @@ def run_verifier_suite(seed: int, n_examples: int) -> int:
 
 SUITES = {
     "exact": run_exact_suite,
-    "autodiff": run_autodiff_suite,
     "verifier": run_verifier_suite,
 }
 
 #: per-suite quick example counts (scaled by REPRO_FUZZ_LONG)
-QUICK_EXAMPLES = {"exact": 25, "autodiff": 25, "verifier": 5}
+QUICK_EXAMPLES = {"exact": 25, "verifier": 5}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

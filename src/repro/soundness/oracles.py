@@ -1,6 +1,6 @@
 """Differential oracles: independent implementations must agree.
 
-Two cross-checks, each pairing a fast/structured implementation with a
+A cross-check pairing a fast/structured implementation with a
 slower/simpler one on the *same* input:
 
 * **SOS vs interval** — when :class:`~repro.verifier.sos_verifier.
@@ -11,10 +11,6 @@ slower/simpler one on the *same* input:
   concrete counterexample refutes the pipeline; interval UNKNOWN /
   delta-sat outcomes and SOS *rejections* are not disagreements (the two
   verifiers have incomparable incompleteness).
-
-* **Tape vs naive autodiff** — :class:`repro.autodiff.Tape` replays a
-  captured forward+backward pass; its leaf gradients must be bitwise
-  equal to a freshly-built graph's ``backward()`` on the same values.
 
 Disagreements are minimized (via :func:`repro.soundness.strategies.
 greedy_shrink` when a shrinker is available) and dumped as JSON repro
@@ -39,7 +35,6 @@ __all__ = [
     "OracleDisagreement",
     "VerifierComparison",
     "compare_verifiers",
-    "compare_tape_gradients",
     "numeric_gradient",
 ]
 
@@ -174,85 +169,3 @@ def compare_verifiers(
         interval_outcomes=outcomes,
         disagreements=disagreements,
     )
-
-
-# ----------------------------------------------------------------------
-# Tape replay  vs  naive fresh backward
-# ----------------------------------------------------------------------
-def _leaf_grads(leaves: Sequence[Any]) -> List[Optional[np.ndarray]]:
-    return [
-        None if leaf.grad is None else np.array(leaf.grad, copy=True)
-        for leaf in leaves
-    ]
-
-
-def compare_tape_gradients(
-    build_loss: Callable[[], Any],
-    leaves: Sequence[Any],
-    dump: bool = True,
-    dump_tag: str = "case",
-) -> List[OracleDisagreement]:
-    """Bitwise-compare Tape-replayed gradients against a fresh backward.
-
-    ``build_loss()`` must run a forward pass over ``leaves`` (Tensors
-    with ``requires_grad=True``) and return the scalar loss.  The
-    reference gradients come from ``loss.backward()`` on a fresh graph;
-    the candidate gradients from capturing a second fresh graph in a
-    :class:`~repro.autodiff.Tape` and replaying it.  Both paths execute
-    the same float ops in the same order, so anything short of bitwise
-    equality is a replay bug.
-    """
-    from repro.autodiff import Tape
-
-    # reference: fresh graph, plain backward
-    for leaf in leaves:
-        leaf.grad = None
-    loss = build_loss()
-    loss.backward()
-    want = _leaf_grads(leaves)
-
-    # candidate: fresh graph, captured and replayed through the tape
-    for leaf in leaves:
-        leaf.grad = None
-    tape = Tape(build_loss())
-    for leaf in leaves:
-        leaf.grad = None
-    tape.run()
-    got = _leaf_grads(leaves)
-
-    disagreements: List[OracleDisagreement] = []
-    for i, (w, g) in enumerate(zip(want, got)):
-        if w is None and g is None:
-            continue
-        if (
-            w is None
-            or g is None
-            or w.shape != g.shape
-            or not np.array_equal(w, g)
-        ):
-            detail = (
-                f"tape replay gradient for leaf {i} differs from naive "
-                f"backward (max abs diff "
-                f"{np.max(np.abs(np.asarray(w) - np.asarray(g))) if w is not None and g is not None and w.shape == g.shape else 'shape/None mismatch'})"
-            )
-            payload = {
-                "oracle": "tape_vs_naive",
-                "leaf_index": i,
-                "leaf_value": describe(np.asarray(leaves[i].data)),
-                "naive_grad": describe(w),
-                "tape_grad": describe(g),
-            }
-            path = None
-            if dump:
-                path = dump_repro(
-                    f"tape-vs-naive-{dump_tag}-leaf{i}", payload
-                )
-            disagreements.append(
-                OracleDisagreement(
-                    oracle="tape_vs_naive",
-                    detail=detail,
-                    payload=payload,
-                    dump_path=path,
-                )
-            )
-    return disagreements

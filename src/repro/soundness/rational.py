@@ -397,14 +397,30 @@ def ldlt_psd(Q: RationalMatrix) -> bool:
     return True
 
 
-def _float_min_eig(Q: RationalMatrix) -> float:
-    """Cheap float estimate of the smallest eigenvalue, used only to pick
-    a starting point in the shift ladder (the LDLᵀ decision stays exact)."""
+EPS = float(np.finfo(float).eps)
+TINY = 5e-324  # smallest positive subnormal double
+
+
+def _float_min_eig(Q: RationalMatrix) -> Tuple[float, float]:
+    """Float estimate of the smallest eigenvalue of ``Q`` and a bound
+    ``tau`` on its error: ``lambda_min(Q) <= estimate + tau``.
+
+    ``tau = (64 n + 2) eps ||M||_F + n u`` with ``M`` the rounded float
+    copy and ``u`` the smallest subnormal: rounding each entry moves every
+    eigenvalue by at most ``||M - Q||_2 <= eps ||Q||_F + n u`` (Weyl), and
+    the backward-stable
+    symmetric eigensolver by at most ``p(n) eps ||M||_2`` with LAPACK's
+    modest ``p(n)``, taken here as ``64 n``.  Returns ``(-inf, inf)``
+    (no information) when the conversion or the solver fails; a
+    non-finite ``tau`` never proves anything either.
+    """
     try:
-        M = np.array([[float(x) for x in row] for row in Q], dtype=float)
-        return float(np.linalg.eigvalsh(M)[0])
-    except Exception:  # pragma: no cover - eigvalsh failed to converge
-        return float("-inf")
+        M = np.array([[x.numerator / x.denominator for x in row] for row in Q])
+        estimate = float(np.linalg.eigvalsh(M)[0])
+    except Exception:  # pragma: no cover - overflow / no convergence
+        return float("-inf"), float("inf")
+    n = len(Q)
+    return estimate, (64 * n + 2) * EPS * math.sqrt(float(np.vdot(M, M))) + n * TINY
 
 
 def find_psd_shift(
@@ -414,12 +430,15 @@ def find_psd_shift(
     """Smallest shift ``delta`` in ``{0} ∪ ladder`` with ``Q + delta I``
     exactly PSD, or ``None`` when even the largest rung fails.
 
-    A float eigenvalue estimate skips ladder rungs that obviously cannot
-    work; the accepted rung is always certified by exact LDLᵀ.
+    A float eigenvalue estimate skips work that cannot succeed: the
+    unshifted exact pass when the estimate is below ``-tau`` (its error
+    bound, so ``Q`` is provably indefinite), and ladder rungs that
+    obviously cannot restore PSD-ness.  The accepted rung is always
+    certified by exact LDLᵀ.
     """
-    if ldlt_psd(Q):
+    min_eig, tau = _float_min_eig(Q)
+    if not min_eig < -tau and ldlt_psd(Q):
         return Fraction(0)
-    min_eig = _float_min_eig(Q)
     for delta in sorted(ladder):
         # a shift below ~|min eig| cannot restore PSD-ness; the float
         # screen only ever *skips* rungs, acceptance is exact

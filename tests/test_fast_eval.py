@@ -4,11 +4,18 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.poly import Polynomial
-from repro.poly.fast_eval import CompiledPolynomial, compile_field
+from repro.poly import Polynomial, lie_derivative
+from repro.poly.fast_eval import (
+    CompiledPolynomial,
+    compile_field,
+    directional_features,
+    monomial_features,
+)
 from repro.poly.monomials import monomials_upto
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 def test_matches_direct_evaluation():
@@ -74,16 +81,47 @@ def test_faster_on_vector_fields():
     assert fast < slow * 1.1  # compiled wins (small slack for timer noise)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.dictionaries(
-        st.sampled_from(list(monomials_upto(2, 4))),
-        st.floats(-5, 5, allow_nan=False),
-        max_size=8,
-    )
-)
-def test_agreement_property(coeffs):
-    p = Polynomial(2, coeffs)
-    cp = CompiledPolynomial(p)
+def test_agreement_property():
     pts = np.random.default_rng(9).uniform(-1.5, 1.5, size=(60, 2))
-    np.testing.assert_allclose(cp(pts), p(pts), atol=1e-9)
+
+    def prop(p):
+        np.testing.assert_allclose(CompiledPolynomial(p)(pts), p(pts), atol=1e-9)
+
+    st.run_property(
+        "compiled-polynomial-agreement",
+        st.polynomials(2, max_degree=4, max_terms=8, coeff_lo=-5.0, coeff_hi=5.0),
+        prop,
+        n_examples=st.fuzz_examples(40),
+        seed=SEED,
+    )
+
+
+def test_features_give_values_and_lie_derivatives():
+    """``monomial_features @ c`` evaluates ``[x]_d . c`` and
+    ``directional_features @ c`` its derivative along a field."""
+
+    def prop(case):
+        n, d, seed = case
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.5, 1.5, size=(20, n))
+        c = rng.normal(size=len(monomials_upto(n, d)))
+        p = Polynomial.from_coeff_vector(n, d, c)
+        xs = Polynomial.variables(n)
+        field = [xs[(i + 1) % n] - 0.5 * xs[i] * xs[i] for i in range(n)]
+        f_vals = compile_field(field)(pts)
+        phi = monomial_features(pts, d)
+        np.testing.assert_allclose(phi @ c, p(pts), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            directional_features(phi, d, f_vals) @ c,
+            lie_derivative(p, field)(pts),
+            rtol=1e-11,
+            atol=1e-11,
+        )
+
+    st.run_property(
+        "monomial-features",
+        st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 10_000)),
+        prop,
+        n_examples=st.fuzz_examples(20),
+        seed=SEED,
+    )

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.dynamics import CCDS, ControlAffineSystem
-from repro.learner import BarrierLearner, LearnerConfig, TrainingData, barrier_loss
+from repro.diagnostics import faultinject as fi
+from repro.learner import BarrierLearner, BarrierLossKernel, LearnerConfig, TrainingData
 from repro.learner.loss import field_values
+from repro.poly.fast_eval import monomial_features
+from repro.resilience.errors import LearnerDivergence
 from repro.poly import Polynomial, lie_derivative
 from repro.sets import Ball, Box
 
@@ -95,9 +98,9 @@ def test_loss_zero_for_perfect_certificate():
     data = TrainingData.sample(prob, 200, rng=np.random.default_rng(0))
     f_vals = field_values(field, data.s_domain)
     # lambda = -0.1 const: margin = |x|^2 + 0.1(1 - 0.5|x|^2) >= 0.1 > eps
-    loss, terms = barrier_loss(
+    terms = BarrierLossKernel(
         learner.b_net, learner.lambda_net, data, f_vals, eps=0.01
-    )
+    )()
     assert terms.total == pytest.approx(0.0, abs=1e-9)
 
 
@@ -109,9 +112,9 @@ def test_loss_positive_for_bad_certificate():
     field = prob.system.closed_loop([])
     data = TrainingData.sample(prob, 100, rng=np.random.default_rng(0))
     f_vals = field_values(field, data.s_domain)
-    loss, terms = barrier_loss(
+    terms = BarrierLossKernel(
         learner.b_net, learner.lambda_net, data, f_vals, eps=0.01
-    )
+    )()
     assert terms.init > 0
 
 
@@ -123,10 +126,10 @@ def test_loss_robust_gain_term_lowers_margin():
     data = TrainingData.sample(prob, 100, rng=np.random.default_rng(0))
     f_vals = field_values(field, data.s_domain)
     gain = [np.ones((100, 2))]
-    _, no_robust = barrier_loss(
+    no_robust = BarrierLossKernel(
         learner.b_net, learner.lambda_net, data, f_vals, eps=0.01
-    )
-    _, robust = barrier_loss(
+    )()
+    robust = BarrierLossKernel(
         learner.b_net,
         learner.lambda_net,
         data,
@@ -134,7 +137,7 @@ def test_loss_robust_gain_term_lowers_margin():
         eps=0.01,
         gain_field_values=gain,
         sigma_star=[10.0],
-    )
+    )()
     assert robust.domain >= no_robust.domain
 
 
@@ -144,10 +147,10 @@ def test_loss_printed_form_differs():
     field = prob.system.closed_loop([])
     data = TrainingData.sample(prob, 50, rng=np.random.default_rng(3))
     f_vals = field_values(field, data.s_domain)
-    _, a = barrier_loss(learner.b_net, learner.lambda_net, data, f_vals)
-    _, b = barrier_loss(
+    a = BarrierLossKernel(learner.b_net, learner.lambda_net, data, f_vals)()
+    b = BarrierLossKernel(
         learner.b_net, learner.lambda_net, data, f_vals, paper_printed_form=True
-    )
+    )()
     # both compute; they generally disagree (lambda vs lambda*B)
     assert isinstance(a.domain, float) and isinstance(b.domain, float)
 
@@ -196,3 +199,46 @@ def test_loss_history_recorded():
     learner = BarrierLearner(2, LearnerConfig(b_hidden=(4,), epochs=10, seed=0))
     learner.fit(data, field)
     assert len(learner.loss_history) == 10
+
+
+@pytest.mark.parametrize(
+    "arch,b_hidden", [("quadratic", (5,)), ("quadratic", (3, 2)), ("square", (4,))]
+)
+def test_candidate_equals_trained_coefficients(arch, b_hidden):
+    """The verifier receives exactly the polynomial the kernel trains:
+    ``candidate()`` at the training points equals ``Phi c``."""
+    prob = decay_problem()
+    data = TrainingData.sample(prob, 40, rng=np.random.default_rng(4))
+    learner = BarrierLearner(
+        2, LearnerConfig(b_hidden=b_hidden, b_architecture=arch, epochs=20, seed=2)
+    )
+    learner.fit(data, prob.system.closed_loop([]))
+    B, _ = learner.candidate()
+    c, _ = learner.b_net.coefficient_map()
+    for pts in (data.s_init, data.s_unsafe, data.s_domain):
+        phi_c = monomial_features(pts, learner.b_net.output_degree) @ c
+        np.testing.assert_allclose(B(pts), phi_c, rtol=1e-12, atol=1e-12)
+
+
+def test_nan_gradient_fault_raises_before_the_step():
+    prob = decay_problem()
+    data = TrainingData.sample(prob, 30, rng=np.random.default_rng(0))
+    learner = BarrierLearner(2, LearnerConfig(b_hidden=(4,), epochs=5, seed=0))
+    before = learner.snapshot()
+    with fi.inject(fi.nan_gradients()) as plan:
+        with pytest.raises(LearnerDivergence) as err:
+            learner.fit(data, prob.system.closed_loop([]))
+    assert plan.fired_sites() == ["learner.gradients"]
+    assert err.value.details["epoch"] == 1
+    # the poisoned gradient never reached the weights
+    assert learner.snapshot()["params"] == before["params"]
+
+
+def test_snbc_recovers_from_nan_gradient_fault():
+    from repro.cegis import SNBC, SNBCConfig
+
+    with fi.inject(fi.nan_gradients()) as plan:
+        res = SNBC(decay_problem(), config=SNBCConfig(seed=0)).run()
+    assert plan.fired_sites() == ["learner.gradients"]
+    assert res.success
+    assert res.soundness is not None and res.soundness.ok

@@ -6,6 +6,9 @@ import pytest
 from repro.autodiff import Tensor
 from repro.nn import Adam, QuadraticNetwork, SquareNetwork
 from repro.poly import Polynomial, lie_derivative
+from repro.poly.fast_eval import monomial_features
+from repro.soundness.oracles import numeric_gradient
+from tests.learner_oracles import forward_with_tangent
 
 
 @pytest.mark.parametrize("cls", [QuadraticNetwork, SquareNetwork])
@@ -44,7 +47,7 @@ def test_tangent_forward_matches_lie_derivative(cls):
     lfb = lie_derivative(p, field)
     pts = rng.uniform(-1, 1, size=(20, 2))
     f_vals = np.stack([field[0](pts), field[1](pts)], axis=1)
-    B_t, L_t = net.forward_with_tangent(Tensor(pts), Tensor(f_vals))
+    B_t, L_t = forward_with_tangent(net, Tensor(pts), Tensor(f_vals))
     np.testing.assert_allclose(B_t.numpy(), p(pts), atol=1e-9)
     np.testing.assert_allclose(L_t.numpy(), lfb(pts), atol=1e-8)
 
@@ -70,12 +73,12 @@ def test_gradient_two_hidden_layers():
 
 
 def test_tangent_is_trainable():
-    """Backprop through forward_with_tangent reaches all parameters."""
+    """Backprop through the tangent oracle reaches all parameters."""
     rng = np.random.default_rng(6)
     net = QuadraticNetwork([2, 3], rng=rng)
     pts = rng.uniform(-1, 1, size=(16, 2))
     f_vals = rng.normal(size=(16, 2))
-    _, L_t = net.forward_with_tangent(Tensor(pts), Tensor(f_vals))
+    _, L_t = forward_with_tangent(net, Tensor(pts), Tensor(f_vals))
     (L_t * L_t).mean().backward()
     touched = [p for p in net.parameters() if p.grad is not None]
     # b1/b2 influence the tangent through the products, W1/W2/W_out always
@@ -124,3 +127,45 @@ def test_repr():
     assert "3-5-1" in repr(net)
     sq = SquareNetwork([3, 5], rng=np.random.default_rng(11))
     assert "3-5-1" in repr(sq)
+
+
+@pytest.mark.parametrize(
+    "cls,sizes,bias",
+    [
+        (QuadraticNetwork, [2, 3], True),
+        (QuadraticNetwork, [2, 2, 2], False),
+        (SquareNetwork, [3, 2], True),
+        (SquareNetwork, [2, 2, 2], True),
+    ],
+)
+def test_coefficient_map_vjp_matches_central_differences(cls, sizes, bias):
+    """``vjp(g)`` is the gradient of ``g . c(theta)`` for every weight."""
+    rng = np.random.default_rng(12)
+    net = cls(sizes, output_bias=bias, rng=rng)
+    c, vjp = net.coefficient_map()
+    g = rng.normal(size=c.shape)
+    vjp(g)
+    for p in net.parameters():
+        def objective(value, p=p):
+            old, p.data = p.data, value
+            try:
+                return float(g @ net.coefficient_map()[0])
+            finally:
+                p.data = old
+
+        num = numeric_gradient(objective, p.data.copy())
+        np.testing.assert_allclose(p.grad, num, rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("cls", [QuadraticNetwork, SquareNetwork])
+def test_coefficients_reproduce_network_output(cls):
+    rng = np.random.default_rng(13)
+    net = cls([3, 4, 2], rng=rng)
+    c, _ = net.coefficient_map()
+    pts = rng.uniform(-1, 1, size=(25, 3))
+    np.testing.assert_allclose(
+        monomial_features(pts, net.output_degree) @ c,
+        net.predict(pts),
+        rtol=1e-12,
+        atol=1e-12,
+    )

@@ -1,7 +1,6 @@
 """Tests for graded-lex monomial bookkeeping."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.poly.monomials import (
     add_exponents,
@@ -12,6 +11,9 @@ from repro.poly.monomials import (
     n_monomials_upto,
     total_degree,
 )
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 def test_monomials_upto_matches_paper_ordering():
@@ -63,10 +65,19 @@ def test_monomials_invalid_args():
         monomials_exact(2, -1)
 
 
-@given(st.integers(1, 5), st.integers(0, 6))
-def test_basis_sorted_and_unique(n, d):
-    basis = monomials_upto(n, d)
-    assert len(set(basis)) == len(basis)
-    keys = [grlex_key(a) for a in basis]
-    assert keys == sorted(keys)
-    assert all(total_degree(a) <= d for a in basis)
+def test_basis_sorted_and_unique():
+    def prop(case):
+        n, d = case
+        basis = monomials_upto(n, d)
+        assert len(set(basis)) == len(basis)
+        keys = [grlex_key(a) for a in basis]
+        assert keys == sorted(keys)
+        assert all(total_degree(a) <= d for a in basis)
+
+    st.run_property(
+        "monomials-sorted-unique",
+        st.tuples(st.integers(1, 5), st.integers(0, 6)),
+        prop,
+        n_examples=st.fuzz_examples(30),
+        seed=SEED,
+    )

@@ -29,7 +29,8 @@ def _spin(seconds):
 def test_phase_of_module_prefixes():
     assert phase_of("repro.sdp.ipm:solve_sdp") == "verification"
     assert phase_of("repro.sdp:anything") == "verification"
-    assert phase_of("repro.autodiff.tape:_f_matmul") == "learning"
+    assert phase_of("repro.autodiff.tensor:backward") == "learning"
+    assert phase_of("repro.learner.kernel:__call__") == "learning"
     assert phase_of("repro.learner.trainer:step") == "learning"
     assert phase_of("repro.cegis.counterexamples:search") == "counterexample"
     assert phase_of("repro.controllers.inclusion:enclose") == "inclusion"

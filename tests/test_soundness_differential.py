@@ -1,15 +1,22 @@
-"""Differential oracles: SOS vs interval verification and Tape vs naive
-backward must agree; disagreements must be detected and dumped."""
+"""Differential oracles: SOS vs interval verification, and the Learner's
+coefficient-space loss kernel vs the autodiff-graph loss, must agree;
+disagreements must be detected and dumped."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
 from repro.dynamics import CCDS, ControlAffineSystem
+from repro.learner import BarrierLossKernel, TrainingData
+from repro.nn import ConstantMultiplier, LinearMultiplier, QuadraticNetwork, SquareNetwork
 from repro.poly import Polynomial
 from repro.sets import Box
 from repro.soundness import oracles
+from repro.soundness import strategies as st
 from repro.verifier.interval_verifier import IntervalVerifierConfig
+from tests.learner_oracles import assert_kernel_matches_graph, barrier_loss
+
+SEED = st.resolve_seed(0)
 
 FAST_INTERVAL = IntervalVerifierConfig(
     max_boxes_per_check=10_000, time_limit_per_check=20.0
@@ -79,58 +86,126 @@ def test_controlled_system_comparison():
 
 
 # ----------------------------------------------------------------------
-# Tape vs naive backward
+# loss kernel vs graph oracle
 # ----------------------------------------------------------------------
-def _leaves(seed=0, n_in=3, n_hidden=4):
+#: network/loss configurations; every example of a case draws fresh
+#: dimensions, weights and data
+KERNEL_CASES = {
+    "quadratic-d1-linear1": dict(net=(QuadraticNetwork, (4,), True), lam=(3,)),
+    "quadratic-d2-linear2": dict(net=(QuadraticNetwork, (3, 2), True), lam=(3, 2)),
+    "quadratic-no-bias-constant": dict(net=(QuadraticNetwork, (3,), False), lam=None),
+    "square-d1-constant": dict(net=(SquareNetwork, (4,), True), lam=None),
+    "square-d2-linear1": dict(net=(SquareNetwork, (2, 2), True), lam=(2,)),
+    "robust-gain-fields": dict(
+        net=(QuadraticNetwork, (4,), True), lam=(3,), sigma=(0.7, 0.0, 0.2)
+    ),
+    "printed-form": dict(
+        net=(QuadraticNetwork, (3,), True), lam=(2, 2), paper_printed_form=True
+    ),
+    "leaky-slope": dict(
+        net=(SquareNetwork, (3,), True), lam=(3,), negative_slope=0.1,
+        etas=(2.0, 0.5, 1.5),
+    ),
+}
+
+
+def _kernel_instance(case, example):
+    """Networks, data and loss kwargs for one ``(n_vars, seed, m)`` draw."""
+    n, seed, m = example
     rng = np.random.default_rng(seed)
-    W = Tensor(rng.normal(size=(n_in, n_hidden)), requires_grad=True)
-    b = Tensor(rng.normal(size=(1, n_hidden)), requires_grad=True)
-    X = Tensor(rng.normal(size=(6, n_in)))
-    return W, b, X
+    cls, hidden, bias = case["net"]
+    b_net = cls([n, *hidden], output_bias=bias, rng=rng)
+    lam = case["lam"]
+    lambda_net = (
+        ConstantMultiplier(n, init=float(rng.normal()))
+        if lam is None
+        else LinearMultiplier([n, *lam, 1], rng=rng)
+    )
+    data = TrainingData(
+        s_init=0.5 * rng.normal(size=(m, n)),
+        s_unsafe=1.5 + rng.normal(size=(m + 1, n)),
+        s_domain=rng.normal(size=(m + 2, n)),
+    )
+    kwargs = {
+        k: v for k, v in case.items()
+        if k in ("paper_printed_form", "negative_slope", "etas")
+    }
+    kwargs["eps"] = float(rng.uniform(0.01, 1.0))
+    if "sigma" in case:
+        kwargs["sigma_star"] = list(case["sigma"])
+        kwargs["gain_field_values"] = [
+            rng.normal(size=(m + 2, n)) for _ in case["sigma"]
+        ]
+    f_vals = rng.normal(size=(m + 2, n))
+    return b_net, lambda_net, data, f_vals, kwargs
 
 
-@pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu", "exp"])
-def test_tape_matches_naive_across_activations(act):
-    W, b, X = _leaves()
-
-    def build():
-        h = X @ W + b
-        h = getattr(h, act)()
-        return (h ** 2.0).mean()
-
-    assert oracles.compare_tape_gradients(build, [W, b], dump=False) == []
+KERNEL_EXAMPLES = st.tuples(
+    st.integers(1, 3), st.integers(0, 2**31 - 1), st.integers(1, 12)
+)
 
 
-def test_tape_matches_naive_deep_chain():
-    W, b, X = _leaves(seed=3)
+@pytest.mark.parametrize("case_name", sorted(KERNEL_CASES))
+def test_kernel_matches_graph_oracle(case_name):
+    case = KERNEL_CASES[case_name]
 
-    def build():
-        h = (X @ W + b).tanh()
-        return ((h * h).sum() / 7.0 + h.abs().mean()) ** 2.0
+    def prop(example):
+        b_net, lambda_net, data, f_vals, kwargs = _kernel_instance(case, example)
+        assert_kernel_matches_graph(b_net, lambda_net, data, f_vals, **kwargs)
 
-    assert oracles.compare_tape_gradients(build, [W, b], dump=False) == []
+    st.run_property(
+        f"kernel-vs-graph-{case_name}",
+        KERNEL_EXAMPLES,
+        prop,
+        n_examples=st.fuzz_examples(15),
+        seed=SEED,
+    )
+
+
+def test_kernel_loss_matches_central_differences():
+    """Anchor the kernel itself: its gradient of the total loss matches
+    central differences of the graph oracle's loss value."""
+    b_net, lambda_net, data, f_vals, kwargs = _kernel_instance(
+        KERNEL_CASES["robust-gain-fields"], (2, 7, 6)
+    )
+    params = b_net.parameters() + lambda_net.parameters()
+    BarrierLossKernel(b_net, lambda_net, data, f_vals, **kwargs)()
+    for p in params:
+        def total(value, p=p):
+            old, p.data = p.data, value
+            try:
+                return barrier_loss(b_net, lambda_net, data, f_vals, **kwargs)[1].total
+            finally:
+                p.data = old
+
+        num = oracles.numeric_gradient(total, p.data.copy())
+        np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-6)
 
 
 def test_gradient_disagreement_is_detected(tmp_path, monkeypatch):
-    from repro.soundness import strategies as st
-
+    """A kernel with a corrupted gradient must fail the differential
+    property, and the minimized example must be dumped for replay."""
     monkeypatch.setenv(st.DUMP_DIR_ENV, str(tmp_path))
-    W, b, X = _leaves(seed=1)
-    calls = {"n": 0}
 
-    def drifting_build():
-        # a non-deterministic forward pass: the second graph differs, so
-        # tape gradients cannot match the reference
-        calls["n"] += 1
-        scale = float(calls["n"])
-        return ((X @ W + b) * scale).sum()
+    class DriftingKernel(BarrierLossKernel):
+        def __call__(self):
+            terms = super().__call__()
+            w = self.b_net.W_out
+            w.grad = w.grad * (1.0 + 1e-9)
+            return terms
 
-    dis = oracles.compare_tape_gradients(
-        drifting_build, [W, b], dump=True, dump_tag="drift"
-    )
-    assert dis
-    assert dis[0].oracle == "tape_vs_naive"
-    assert dis[0].dump_path and dis[0].dump_path.startswith(str(tmp_path))
+    case = KERNEL_CASES["quadratic-d1-linear1"]
+
+    def prop(example):
+        b_net, lambda_net, data, f_vals, kwargs = _kernel_instance(case, example)
+        assert_kernel_matches_graph(
+            b_net, lambda_net, data, f_vals, kernel_cls=DriftingKernel, **kwargs
+        )
+
+    with pytest.raises(st.PropertyFailure) as err:
+        st.run_property("kernel-drift", KERNEL_EXAMPLES, prop, n_examples=5, seed=SEED)
+    assert "gradient" in err.value.cause
+    assert err.value.dump_path and err.value.dump_path.startswith(str(tmp_path))
 
 
 def test_polynomial_gradient_matches_numeric():
