@@ -119,7 +119,9 @@ def run_snbc(
     manifest land in ``results/telemetry/<name>-<scale>.jsonl`` /
     ``....manifest.json``, and a certificate audit artifact in
     ``....audit.json``; render all three with
-    ``python -m repro.diagnostics.report results/telemetry/<name>-<scale>``.
+    ``python -m repro.diagnostics.report results/telemetry/<name>-<scale>``
+    (add ``--html PATH`` for the dashboard), or every run at once with
+    ``python -m repro.diagnostics.report results/``.
     The run's BENCH row is accumulated in :data:`BENCH_ROWS` for
     :func:`emit_bench_document`.
 

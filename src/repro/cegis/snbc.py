@@ -725,10 +725,13 @@ class SNBC:
         self, verification: VerificationResult, iteration: int
     ) -> Optional[SoundnessReport]:
         """Exact rational recheck of an accepted verification.  Returns
-        ``None`` when the gate is off or no certificate was captured; the
-        verdict (including ``ok == False``) is the caller's to act on.
-        The recheck's wall-clock lands in the report, not in
-        :class:`PhaseTimings` — it is not one of the paper's phases."""
+        ``None`` only when the gate is off; the verdict (including
+        ``ok == False``) is the caller's to act on.  An accepted
+        verification without a certificate bundle raises
+        :class:`SoundnessError`: nothing could be re-proven, so the float
+        accept must not stand.  The recheck's wall-clock lands in the
+        report, not in :class:`PhaseTimings` — it is not one of the
+        paper's phases."""
         cfg = self.config
         if not cfg.soundness_check:
             return None
@@ -743,8 +746,10 @@ class SNBC:
                 self.problem, verification, config=cfg.soundness_config
             )
             if report is None:
-                sp.set_attr("skipped", "no certificate captured")
-                return None
+                raise SoundnessError(
+                    "accepted verification carries no certificate bundle; "
+                    "the exact rational recheck has nothing to re-prove"
+                )
             sp.set_attrs(
                 ok=report.ok,
                 failed=report.failed_conditions(),

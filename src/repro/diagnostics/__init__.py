@@ -11,8 +11,10 @@ to answer *how well it went*:
 * :mod:`repro.diagnostics.bench` / :mod:`repro.diagnostics.regress` —
   the ``BENCH_table1.json`` schema and the CLI gate that compares two of
   them (``python -m repro.diagnostics.regress OLD NEW``);
-* :mod:`repro.diagnostics.report` — per-run terminal summary + single
-  file HTML dashboard (``python -m repro.diagnostics.report <run>``).
+* :mod:`repro.diagnostics.report` — the one report command: a run's
+  convergence, audit and per-phase time (text / markdown / JSON, plus
+  an opt-in single-file HTML dashboard), or the fleet view over a
+  results tree (``python -m repro.diagnostics.report <run | dir>``).
 
 Import discipline: this package is imported *by* :mod:`repro.cegis`
 (the stall detector runs inside the loop), so nothing here may import

@@ -75,8 +75,6 @@ class InteriorPointOptions:
     infeasibility_threshold: float = 1e8
     #: initial scaling floor for X and Z
     init_scale: float = 10.0
-    #: log per-iteration progress at INFO instead of DEBUG
-    verbose: bool = False
     #: wall-clock cap on the iteration loop; ``None`` disarms.  Checked
     #: once per IPM iteration, so one iteration may overshoot — the cap
     #: is cooperative, like the pipeline-level ``TimeBudget``
@@ -434,8 +432,7 @@ class _IPMState:
             dual_objective=float(dobj),
         )
 
-        logger.log(
-            logging.INFO if opts.verbose else logging.DEBUG,
+        logger.debug(
             "ipm it=%3d mu=%9.2e gap=%9.2e pres=%9.2e dres=%9.2e pobj=%+.6e",
             self.iteration, mu, self.rel_gap, self.prim_res, self.dual_res,
             pobj,

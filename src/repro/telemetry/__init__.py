@@ -1,7 +1,8 @@
 """Structured telemetry for the SNBC pipeline.
 
 Zero-dependency (stdlib-only) observability layer: hierarchical span
-tracing, a metrics registry, run manifests, and a trace-report CLI.
+tracing, a metrics registry, run manifests, and the run-artifact
+loader the report CLI reads through.
 
 Three entry levels:
 
@@ -11,15 +12,15 @@ Three entry levels:
 * **Harnesses** (the Table 1 benchmarks) call :func:`session` to route
   spans and metrics into a JSONL trace plus a JSON run manifest under
   ``results/``.
-* **Humans** render a trace with ``python -m repro.telemetry.report
-  trace.jsonl`` — per-phase time breakdown and metric summaries — or
-  aggregate a whole results tree with ``python -m repro.telemetry.fleet
-  results/``.
+* **Humans** render a run with ``python -m repro.diagnostics.report
+  <run>`` — per-phase time breakdown and metric summaries — or a whole
+  results tree with ``python -m repro.diagnostics.report results/``.
 
 Deeper instrumentation lives alongside: :mod:`repro.telemetry.profiler`
 (a stdlib sampling profiler writing collapsed stacks + per-phase
-self-time) and :mod:`repro.telemetry.store` (the cross-run fleet index
-behind the fleet CLI).
+self-time), :mod:`repro.telemetry.report` (the pure trace aggregations
+every report shows) and :mod:`repro.telemetry.store` (the one reader of
+a run's artifact family, and the cross-run fleet index).
 
 Cross-process runs are first-class: :mod:`repro.telemetry.context`
 propagates a :class:`TraceContext` (one ``trace_id`` per run) into pool

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform as _platform
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -121,13 +123,23 @@ class RunManifest:
         return out
 
     def write(self, path: str) -> str:
-        """Serialize to ``path`` as pretty JSON; returns the path."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        return str(path)
+        """Serialize to ``path`` as pretty JSON; returns the path.
 
-    @staticmethod
-    def load(path: str) -> Dict[str, Any]:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        Atomic (temp file + ``os.replace``): ``session`` rewrites the
+        manifest when the run finishes, and a process killed mid-dump
+        must leave the previous manifest, not a torn one."""
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(
+            prefix=".manifest-", suffix=".tmp", dir=directory
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(
+                    self.to_dict(), fh, indent=2, sort_keys=True, default=str
+                )
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        return str(path)

@@ -1,41 +1,20 @@
-"""Render a telemetry trace as a human-readable report.
+"""Pure aggregations over a telemetry trace's events.
 
-    python -m repro.telemetry.report results/telemetry/C1-smoke.jsonl
-    python -m repro.telemetry.report trace.jsonl --format markdown
-    python -m repro.telemetry.report trace.jsonl --format json
-    python -m repro.telemetry.report trace.jsonl --manifest run.manifest.json
-
-Sections:
-
-* **Phases** — total seconds per pipeline phase (spans carrying a
-  ``phase`` attribute: inclusion / learning / verification /
-  counterexample), with share-of-total.  These totals match
-  ``SNBCResult.timings`` because both are filled from the same spans.
-* **Spans** — per-span-name aggregate (count, total, self, mean, max);
-  *self* is exclusive time (total minus direct-child spans), so nested
-  spans do not double-count.
-* **IPM sub-phases** — solver time attributed inside the interior-point
-  iteration (Z factorization, Schur assembly, Schur factorization, line
-  search), aggregated from the per-iteration timers every
-  ``sdp.ipm_trace`` event carries.
-* **Metrics** — counters, gauges, and histogram summaries from the
-  trailing ``metrics`` event.
-* **Caches** — hit rates derived from paired ``<name>.hits`` /
-  ``<name>.misses`` counters (workspace cache, compile-field cache,
-  field-value cache, ...).
+These fold the event list of one JSONL trace into the numbers every
+report shows: per-phase totals, per-span-name aggregates with exclusive
+(self) time, merged-trace worker lanes, IPM sub-phase timers, the
+trailing metrics summary and cache hit rates.  They read nothing from
+disk and print nothing; the fleet store (:mod:`repro.telemetry.store`)
+and the report CLI (``python -m repro.diagnostics.report``) render them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.telemetry.spans import load_events
+from typing import Any, Dict, List, Sequence, Tuple
 
 #: canonical pipeline order for the phase table
-PHASE_ORDER = ["inclusion", "learning", "verification", "counterexample"]
+PHASE_ORDER = ["inclusion", "learning", "verification", "soundness",
+               "counterexample"]
 
 
 def phase_totals(events: Sequence[Dict[str, Any]]) -> Dict[str, float]:
@@ -225,232 +204,3 @@ def cache_rates(counters: Dict[str, float]) -> List[Tuple[str, int, int, float]]
         total = hits + misses
         rows.append((name, hits, misses, hits / total if total else 0.0))
     return rows
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.4g}" if abs(x) < 1e-3 or abs(x) >= 1e5 else f"{x:.3f}"
-
-
-def _table(
-    header: Sequence[str], rows: Sequence[Sequence[str]], markdown: bool
-) -> List[str]:
-    if markdown:
-        out = ["| " + " | ".join(header) + " |",
-               "|" + "|".join("---" for _ in header) + "|"]
-        out += ["| " + " | ".join(r) + " |" for r in rows]
-        return out
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
-    out = [line, "-" * len(line)]
-    out += ["  ".join(r[i].ljust(widths[i]) for i in range(len(header))) for r in rows]
-    return out
-
-
-def render_report(
-    events: Sequence[Dict[str, Any]],
-    fmt: str = "text",
-    manifest: Optional[Dict[str, Any]] = None,
-    max_span_rows: int = 20,
-) -> str:
-    """Build the full report string (``fmt``: ``text`` or ``markdown``)."""
-    markdown = fmt == "markdown"
-    h = (lambda s: f"## {s}") if markdown else (lambda s: f"== {s} ==")
-    lines: List[str] = []
-
-    if manifest:
-        lines.append(h("Run"))
-        for key in ("name", "outcome", "seed", "git_sha", "started_at",
-                    "finished_at", "elapsed_seconds"):
-            if manifest.get(key) is not None:
-                lines.append(f"- {key}: {manifest[key]}")
-        trace_id = (manifest.get("extra") or {}).get("trace_id")
-        if trace_id:
-            lines.append(f"- trace_id: {trace_id}")
-        lines.append("")
-
-    totals = phase_totals(events)
-    if totals:
-        grand = sum(totals.values())
-        ordered = [p for p in PHASE_ORDER if p in totals]
-        ordered += sorted(set(totals) - set(ordered))
-        rows = [
-            [p, f"{totals[p]:.3f}", f"{100.0 * totals[p] / grand:.1f}%"]
-            for p in ordered
-        ]
-        rows.append(["total", f"{grand:.3f}", "100.0%"])
-        lines.append(h("Phases"))
-        lines += _table(["phase", "seconds", "share"], rows, markdown)
-        lines.append("")
-
-    span_rows = span_aggregates(events)
-    if span_rows:
-        rows = [
-            [name, str(count), f"{total:.3f}", f"{self_total:.3f}",
-             f"{mean:.4f}", f"{mx:.4f}"]
-            for name, count, total, self_total, mean, mx
-            in span_rows[:max_span_rows]
-        ]
-        lines.append(h("Spans"))
-        lines += _table(["span", "count", "total s", "self s", "mean s",
-                         "max s"], rows, markdown)
-        if len(span_rows) > max_span_rows:
-            lines.append(f"... {len(span_rows) - max_span_rows} more span names")
-        lines.append("")
-
-    lanes = worker_lanes(events)
-    if lanes:
-        rows = [
-            [str(lane["shard"]),
-             str(lane["pid"]) if lane["pid"] is not None else "-",
-             str(lane["spans"]), f"{lane['seconds']:.3f}",
-             f"{lane['clock_skew_s']:+.4f}"]
-            for lane in lanes
-        ]
-        lines.append(h("Workers"))
-        lines += _table(["shard", "pid", "spans", "busy s", "clock skew s"],
-                        rows, markdown)
-        lines.append("")
-
-    subphases = ipm_subphase_totals(events)
-    if subphases:
-        grand = sum(r["seconds"] for r in subphases)
-        rows = [
-            [r["phase"], f"{r['seconds']:.3f}", str(r["iterations"]),
-             _fmt(r["mean_s"]),
-             f"{100.0 * r['seconds'] / grand:.1f}%" if grand else "-"]
-            for r in subphases
-        ]
-        lines.append(h("IPM sub-phases"))
-        lines += _table(
-            ["phase", "seconds", "iterations", "mean s/it", "share"],
-            rows, markdown,
-        )
-        lines.append("")
-
-    summary = metrics_summary(events)
-    counters = summary.get("counters", {})
-    gauges = summary.get("gauges", {})
-    hists = summary.get("histograms", {})
-    if counters or gauges:
-        rows = [[k, "counter", _fmt(v)] for k, v in sorted(counters.items())]
-        rows += [[k, "gauge", _fmt(v)] for k, v in sorted(gauges.items())]
-        lines.append(h("Metrics"))
-        lines += _table(["metric", "kind", "value"], rows, markdown)
-        lines.append("")
-    caches = cache_rates(counters)
-    if caches:
-        rows = [
-            [name, str(hits), str(misses), f"{100.0 * rate:.1f}%"]
-            for name, hits, misses, rate in caches
-        ]
-        lines.append(h("Caches"))
-        lines += _table(["cache", "hits", "misses", "hit rate"], rows, markdown)
-        lines.append("")
-    if hists:
-        rows = [
-            [k, str(int(s["count"])), _fmt(s["mean"]), _fmt(s["p50"]),
-             _fmt(s["p95"]), _fmt(s["max"])]
-            for k, s in sorted(hists.items())
-        ]
-        lines.append(h("Histograms"))
-        lines += _table(["metric", "count", "mean", "p50", "p95", "max"],
-                        rows, markdown)
-        lines.append("")
-
-    if not lines:
-        lines.append("(empty trace)")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def report_payload(
-    events: Sequence[Dict[str, Any]],
-    manifest: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Machine-readable report: the same aggregates the text report shows."""
-    summary = metrics_summary(events)
-    return {
-        "manifest": manifest,
-        "phases": phase_totals(events),
-        "spans": [
-            {"name": name, "count": count, "total": total, "self": self_total,
-             "mean": mean, "max": mx}
-            for name, count, total, self_total, mean, mx
-            in span_aggregates(events)
-        ],
-        "workers": worker_lanes(events),
-        "ipm_subphases": ipm_subphase_totals(events),
-        "metrics": summary,
-        "caches": [
-            {"name": name, "hits": hits, "misses": misses, "hit_rate": rate}
-            for name, hits, misses, rate in cache_rates(
-                summary.get("counters", {})
-            )
-        ],
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.report", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("trace", help="JSONL trace file")
-    parser.add_argument("--format", choices=["text", "markdown", "json"],
-                        default="text")
-    parser.add_argument("--manifest", default=None,
-                        help="run manifest JSON to include (auto-detected "
-                             "from <trace>.manifest.json when present)")
-    parser.add_argument("--max-span-rows", type=int, default=20)
-    args = parser.parse_args(argv)
-
-    # tolerate truncated/corrupt lines: a crashed run leaves a partial
-    # final record, and its trace is exactly the one worth reading
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except json.JSONDecodeError:
-                    skipped += 1
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    if skipped and not events:
-        print(
-            f"error: all {skipped} line(s) of the trace are malformed",
-            file=sys.stderr,
-        )
-        return 1
-    if skipped:
-        print(f"warning: skipped {skipped} malformed line(s)", file=sys.stderr)
-    manifest: Optional[Dict[str, Any]] = None
-    manifest_path = args.manifest
-    if manifest_path is None:
-        base = args.trace[:-6] if args.trace.endswith(".jsonl") else args.trace
-        candidate = base + ".manifest.json"
-        import os
-        if os.path.exists(candidate):
-            manifest_path = candidate
-    if manifest_path:
-        from repro.telemetry.manifest import RunManifest
-        manifest = RunManifest.load(manifest_path)
-
-    if args.format == "json":
-        print(json.dumps(report_payload(events, manifest=manifest),
-                         indent=2, sort_keys=True))
-        return 0
-    print(render_report(events, fmt=args.format, manifest=manifest,
-                        max_span_rows=args.max_span_rows), end="")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

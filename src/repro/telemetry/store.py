@@ -1,4 +1,4 @@
-"""Cross-run fleet telemetry store.
+"""Run-artifact loader and cross-run fleet telemetry store.
 
 One run leaves an artifact family on disk (``<base>.jsonl`` trace,
 ``<base>.manifest.json``, ``<base>.audit.json``); a results tree
@@ -6,15 +6,16 @@ accumulates many.  This module indexes every family under a root into
 :class:`RunRecord` rows and folds them into one deterministic,
 JSON-ready :func:`fleet_summary` — per-system iteration counts,
 phase-time totals, cache hit rates, SDP recovery engagement, and
-IPM-convergence-class histograms across runs.  It is the query substrate
-the future service tier aggregates per-user requests into; today it is
-the ``python -m repro.telemetry.fleet`` CLI.
+IPM-convergence-class histograms across runs: the directory view of
+``python -m repro.diagnostics.report``.
 
-Everything here reads static files and tolerates partial families:
-a trace with no manifest, or whose manifest never recorded an outcome
+Every read of a family goes through :func:`load_artifacts`, which the
+single-run report uses too, so both views apply one tolerance policy:
+malformed JSONL lines are counted and skipped, and a missing or
+unreadable manifest or audit reads as ``None`` plus a warning.  A trace
+with no readable manifest, or whose manifest never recorded an outcome
 (the process died mid-run), indexes with the explicit outcome
-``incomplete`` and ``incomplete: true`` on the record; malformed JSONL
-lines are skipped the same way the report CLIs skip them, and artifacts
+``incomplete`` and ``incomplete: true`` on the record, and artifacts
 written before a given schema addition simply leave the corresponding
 fields empty.  Bench-parent traces (the merged ``bench-<scale>.jsonl``
 written by ``--jobs`` drivers, manifest ``extra.role ==
@@ -99,11 +100,57 @@ class RunRecord:
         }
 
 
-def _read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Tolerant JSONL read (same policy as the report CLIs)."""
+@dataclass
+class RunArtifacts:
+    """One run's artifact family as read from disk.
+
+    ``events`` are the trace's parseable lines and ``skipped`` counts the
+    malformed ones (a crashed run leaves a torn final record, and its
+    trace is exactly the one worth reading).  ``manifest`` and ``audit``
+    are ``None`` when the sibling file is missing or unreadable, with
+    one line per such file in ``warnings``: a trace alone still tells
+    the convergence story.
+    """
+
+    base: str
+    events: List[Dict[str, Any]]
+    skipped: int
+    manifest: Optional[Dict[str, Any]]
+    audit: Optional[Dict[str, Any]]
+    warnings: List[str]
+
+
+def _read_sibling(
+    path: str, what: str, warnings: List[str]
+) -> Optional[Dict[str, Any]]:
+    if not os.path.exists(path):
+        warnings.append(f"no {what} at {path}")
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        warnings.append(f"unreadable {what} at {path}: {exc}")
+        return None
+    if not isinstance(doc, dict):
+        warnings.append(f"unreadable {what} at {path}: not a JSON object")
+        return None
+    return doc
+
+
+def load_artifacts(target: str) -> RunArtifacts:
+    """Read the artifact family ``target`` names: the extension-less
+    ``<base>``, or its ``<base>.jsonl`` trace (a trace under any other
+    name is its own base).  Raises :class:`OSError` when the trace itself
+    cannot be read; every other defect degrades as :class:`RunArtifacts`
+    describes."""
+    base = target[: -len(".jsonl")] if target.endswith(".jsonl") else target
+    trace = base + ".jsonl"
+    if not os.path.exists(trace) and os.path.exists(target):
+        trace, base = target, target
     events: List[Dict[str, Any]] = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(trace, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -112,16 +159,10 @@ def _read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
                 events.append(json.loads(line))
             except json.JSONDecodeError:
                 skipped += 1
-    return events, skipped
-
-
-def _load_json(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            out = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return out if isinstance(out, dict) else None
+    warnings: List[str] = []
+    manifest = _read_sibling(base + ".manifest.json", "manifest", warnings)
+    audit = _read_sibling(base + ".audit.json", "audit artifact", warnings)
+    return RunArtifacts(base, events, skipped, manifest, audit, warnings)
 
 
 def _system_and_scale(name: str, base: str) -> Tuple[str, str]:
@@ -182,17 +223,16 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
     JSON lines at all (e.g. a stray non-trace ``.jsonl``).
     """
     try:
-        events, skipped = _read_events(trace_path)
+        run = load_artifacts(trace_path)
     except OSError:
         return None
-    if not events and skipped:
+    events, base, manifest = run.events, run.base, run.manifest
+    if not events and run.skipped:
         return None
 
-    base = trace_path[:-6] if trace_path.endswith(".jsonl") else trace_path
     rel_base = os.path.relpath(base, root) if root else base
     rec = RunRecord(base=rel_base.replace(os.sep, "/"), n_events=len(events))
 
-    manifest = _load_json(base + ".manifest.json")
     if manifest:
         rec.name = str(manifest.get("name") or "unknown")
         outcome = manifest.get("outcome")
@@ -224,14 +264,13 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
     rec.system, file_scale = _system_and_scale(rec.name, base)
     rec.scale = str(scale) if scale else file_scale
 
-    audit = _load_json(base + ".audit.json")
     rec.phases = phase_totals(events)
     counters = metrics_summary(events).get("counters", {})
     rec.caches = {
         name: {"hits": hits, "misses": misses, "rate": _round(rate)}
         for name, hits, misses, rate in cache_rates(counters)
     }
-    rec.convergence = _convergence_histogram(events, audit)
+    rec.convergence = _convergence_histogram(events, run.audit)
     rec.recovery_engaged = int(counters.get("sdp.recovery.engaged", 0))
     rec.recovery_successes = int(sum(
         v for k, v in counters.items()

@@ -165,12 +165,6 @@ class VerifierConfig:
     #: :mod:`repro.resilience.recovery`).  Healthy solves are untouched,
     #: so default-on recovery is bit-identical on converging instances.
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    #: attach a :class:`~repro.soundness.certificate.CertificateBundle`
-    #: (Gram matrices, multipliers, lambda, margins, boxes) to passing
-    #: verifications so :mod:`repro.soundness.checker` can re-prove the
-    #: Putinar identities over ℚ.  Capture is pure bookkeeping — it never
-    #: changes verdicts or solver behavior.
-    capture_certificate: bool = True
 
 
 @dataclass
@@ -227,8 +221,10 @@ class VerificationResult:
     elapsed_seconds: float
     lambda_poly: Optional[Polynomial] = None
     lambda_polys: Optional[dict] = None
-    #: Gram-level evidence for the exact rational recheck; present on
-    #: passing verifications when ``VerifierConfig.capture_certificate``
+    #: Gram-level evidence for the exact rational recheck (Gram matrices,
+    #: multipliers, lambda, margins, boxes); every passing verification
+    #: carries one.  Capture is pure bookkeeping — it never changes
+    #: verdicts or solver behavior.
     certificate: Optional[CertificateBundle] = None
 
     def failed_conditions(self) -> List[str]:
@@ -495,11 +491,7 @@ class SOSVerifier:
         if not cfg.validate:
             if span is not None:
                 span.set_attrs(feasible=True, validated=True)
-            cert = (
-                self._capture(prep, sol, lam_poly)
-                if cfg.capture_certificate
-                else None
-            )
+            cert = self._capture(prep, sol, lam_poly)
             return (
                 ConditionReport(
                     name, True, True, elapsed, "validation skipped",
@@ -536,11 +528,7 @@ class SOSVerifier:
             )
         if not report.ok:
             tel.metrics.inc(f"verifier.validation_failed.{base}")
-        cert = (
-            self._capture(prep, sol, lam_poly)
-            if (report.ok and cfg.capture_certificate)
-            else None
-        )
+        cert = self._capture(prep, sol, lam_poly) if report.ok else None
         return (
             ConditionReport(
                 name=name,
@@ -589,7 +577,7 @@ class SOSVerifier:
     ) -> Optional[CertificateBundle]:
         """Assemble the per-candidate bundle from passing-condition
         certificates (``B`` is the normalized candidate they certify)."""
-        if not self.config.capture_certificate or not certs:
+        if not certs:
             return None
         return CertificateBundle(
             barrier=B,

@@ -20,7 +20,6 @@ from repro.diagnostics import (
 from repro.diagnostics.regress import compare_benches, compare_perf_benches
 from repro.diagnostics.regress import main as regress_main
 from repro.diagnostics.report import main as report_main
-from repro.diagnostics.report import resolve_run
 from repro.dynamics import CCDS, ControlAffineSystem
 from repro.learner import LearnerConfig
 from repro.poly import Polynomial
@@ -434,25 +433,30 @@ def _write_run_family(tmp_path, name="run"):
 
 def test_report_cli_renders_and_writes_dashboard(tmp_path, capsys):
     base = _write_run_family(tmp_path)
-    assert report_main([base]) == 0
+    page_path = tmp_path / "page.html"
+    assert report_main([base, "--html", str(page_path)]) == 0
     out = capsys.readouterr().out
     assert "unit/run" in out
     assert "Convergence" in out and "lineage" in out.lower()
-    page = open(base + ".report.html").read()
+    page = page_path.read_text()
     assert "<svg" in page and "</html>" in page
     assert "http" not in page.replace("http://www.w3.org", "")  # offline
 
-    # .jsonl path spells the same family
-    assert resolve_run(base + ".jsonl")["base"] == base
+    # the .jsonl path spells the same family: same report, manifest included
+    assert report_main([base + ".jsonl"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_report_cli_no_html(tmp_path, capsys):
     import os
 
+    # the dashboard is opt-in: without --html nothing is written
     base = _write_run_family(tmp_path, "nohtml")
-    assert report_main([base, "--no-html"]) == 0
+    assert report_main([base]) == 0
     capsys.readouterr()
-    assert not os.path.exists(base + ".report.html")
+    assert sorted(os.listdir(tmp_path)) == [
+        "nohtml.jsonl", "nohtml.manifest.json"
+    ]
 
 
 def test_report_cli_missing_trace(tmp_path, capsys):
@@ -472,7 +476,7 @@ def test_report_cli_truncated_line_warns(tmp_path, capsys):
     base = _write_run_family(tmp_path, "trunc")
     with open(base + ".jsonl", "a") as fh:
         fh.write('{"type": "cegis.iter')  # crash mid-write
-    assert report_main([base, "--no-html"]) == 0
+    assert report_main([base]) == 0
     err = capsys.readouterr().err
     assert "skipped 1 malformed line" in err
 
@@ -482,5 +486,5 @@ def test_report_cli_missing_manifest_warns(tmp_path, capsys):
 
     base = _write_run_family(tmp_path, "noman")
     os.remove(base + ".manifest.json")
-    assert report_main([base, "--no-html"]) == 0
+    assert report_main([base]) == 0
     assert "no manifest" in capsys.readouterr().err

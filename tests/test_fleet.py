@@ -1,4 +1,5 @@
-"""Tests for the fleet telemetry store and CLI (store.py / fleet.py).
+"""Tests for the fleet telemetry store (store.py) and the directory view
+of the report CLI (``python -m repro.diagnostics.report <dir>``).
 
 The committed fixtures under ``tests/data/fleet/`` are run artifact
 families (the first two copied from real ``results/telemetry/`` runs):
@@ -18,14 +19,18 @@ aggregate over them.
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+from repro.diagnostics.report import main as report_main
+from repro.diagnostics.report import render_fleet
 from repro.telemetry import fleet_summary, load_run, scan_runs
-from repro.telemetry.fleet import main as fleet_main
-from repro.telemetry.fleet import render_fleet_text
 from repro.telemetry.store import RunRecord, _system_and_scale
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "fleet")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "fleet_golden.json")
 
@@ -192,7 +197,7 @@ def test_run_record_to_dict_rounds_and_sorts():
 # CLI
 # ----------------------------------------------------------------------
 def test_fleet_cli_text_output(capsys):
-    assert fleet_main([FIXTURES]) == 0
+    assert report_main([FIXTURES]) == 0
     out = capsys.readouterr().out
     assert "3 run(s) across 3 system(s)" in out
     assert "incomplete=1" in out
@@ -203,28 +208,50 @@ def test_fleet_cli_text_output(capsys):
 
 
 def test_fleet_cli_json_matches_golden(capsys):
-    assert fleet_main([FIXTURES, "--format", "json"]) == 0
+    assert report_main([FIXTURES, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == json.load(open(GOLDEN))
 
 
-def test_fleet_cli_out_writes_document(tmp_path, capsys):
-    out = str(tmp_path / "nested" / "fleet.json")
-    assert fleet_main([FIXTURES, "--out", out]) == 0
-    capsys.readouterr()
-    doc = json.load(open(out))
-    assert doc["kind"] == "fleet_summary"
-    assert doc["n_runs"] == 3
-
-
 def test_fleet_cli_empty_root(tmp_path, capsys):
-    assert fleet_main([str(tmp_path)]) == 1
+    assert report_main([str(tmp_path)]) == 1
     assert "no run traces" in capsys.readouterr().err
 
 
 def test_fleet_cli_missing_root(tmp_path, capsys):
-    assert fleet_main([str(tmp_path / "absent")]) == 2
-    assert "not a directory" in capsys.readouterr().err
+    # a missing TARGET is neither a directory nor a readable run
+    assert report_main([str(tmp_path / "absent")]) == 2
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_fleet_cli_rejects_html_for_directory(tmp_path, capsys):
+    assert report_main([FIXTURES, "--html", str(tmp_path / "x.html")]) == 2
+    assert "single run" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_report_cli_torn_manifest_warns_without_traceback(tmp_path):
+    """A manifest torn mid-write (the run was killed while ``session``
+    rewrote it) is a warning: the run still reports, exit code 0.  Runs
+    the real ``python -m`` entry point, with runpy warnings as errors."""
+    root = tmp_path / "fleet"
+    shutil.copytree(FIXTURES, root)
+    manifest = root / "C1-smoke.manifest.json"
+    manifest.write_text(manifest.read_text()[:300])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [os.path.join(REPO, "src"), env.get("PYTHONPATH", "")] if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.diagnostics.report", str(root / "C1-smoke")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "warning: unreadable manifest" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "== Phases ==" in proc.stdout
+    assert "unaccounted" not in proc.stdout  # no manifest, no elapsed time
 
 
 def test_fleet_round_trip_over_committed_results_tree():
@@ -304,6 +331,35 @@ def test_fleet_summary_excludes_bench_parent_from_aggregates():
 def test_render_fleet_text_marks_truncated():
     rec = RunRecord(base="cut-smoke", system="C9", scale="smoke",
                     outcome="error", truncated=True)
-    text = render_fleet_text(fleet_summary([rec]))
+    text = render_fleet(fleet_summary([rec]))
     row = next(l for l in text.splitlines() if l.startswith("cut-smoke"))
     assert "yes" in row
+
+
+# ----------------------------------------------------------------------
+# single-run view over the committed fixture
+# ----------------------------------------------------------------------
+def test_report_cli_single_run_sections_in_order(capsys):
+    assert report_main([os.path.join(FIXTURES, "C1-smoke")]) == 0
+    out = capsys.readouterr().out
+    headings = [l for l in out.splitlines() if l.startswith("== ")]
+    assert headings == [
+        "== Run ==", "== Convergence ==", "== Counterexample lineage ==",
+        "== Certificate audit ==", "== Phases ==", "== Spans ==",
+        "== Metrics ==", "== Caches ==", "== Histograms ==",
+    ]
+    table = out.split("== Phases ==\n")[1].split("\n\n")[0].splitlines()
+    phases = [l.split()[0] for l in table[2:]]  # past header and rule
+    assert phases == ["inclusion", "learning", "verification", "soundness",
+                      "counterexample", "total", "unaccounted"]
+    # manifest elapsed 0.864 s minus the 0.858 s phase sum
+    row = next(l for l in out.splitlines() if l.startswith("unaccounted"))
+    assert row.split()[1:] == ["0.006", "0.7%"]
+
+
+def test_report_cli_json_payload_has_no_unaccounted_row(capsys):
+    assert report_main([os.path.join(FIXTURES, "C1-smoke.jsonl"),
+                        "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "unaccounted" not in payload["phases"]
+    assert payload["manifest"]["name"] == "table1/C1"

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.poly import Polynomial, abs_bound_on_box, l1_norm, linf_norm
 from repro.poly.bounds import interval_eval
-from repro.poly.monomials import monomials_upto
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 def test_norms():
@@ -44,23 +45,23 @@ def test_interval_eval_negative_coeff():
     assert (lo, hi) == (-2.0, 1.0)
 
 
-def small_polys():
-    basis = list(monomials_upto(2, 3))
-    coeff = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
-    return st.dictionaries(st.sampled_from(basis), coeff, max_size=5).map(
-        lambda d: Polynomial(2, d)
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys())
-def test_bounds_are_sound_on_samples(p):
+def test_bounds_are_sound_on_samples():
     lo_box, hi_box = np.array([-1.5, -0.5]), np.array([0.5, 2.0])
-    rng = np.random.default_rng(42)
-    pts = rng.uniform(lo_box, hi_box, size=(200, 2))
-    vals = p(pts)
-    bound = abs_bound_on_box(p, lo_box, hi_box)
-    assert np.all(np.abs(vals) <= bound + 1e-9)
-    ilo, ihi = interval_eval(p, lo_box, hi_box)
-    assert np.all(vals >= ilo - 1e-9)
-    assert np.all(vals <= ihi + 1e-9)
+    pts = np.random.default_rng(42).uniform(lo_box, hi_box, size=(200, 2))
+
+    def prop(p):
+        vals = p(pts)
+        bound = abs_bound_on_box(p, lo_box, hi_box)
+        assert np.all(np.abs(vals) <= bound + 1e-9)
+        ilo, ihi = interval_eval(p, lo_box, hi_box)
+        assert np.all(vals >= ilo - 1e-9)
+        assert np.all(vals <= ihi + 1e-9)
+
+    st.run_property(
+        "poly-bounds-sound",
+        st.polynomials(2, max_degree=3, max_terms=5, coeff_lo=-3.0,
+                       coeff_hi=3.0),
+        prop,
+        n_examples=st.fuzz_examples(60),
+        seed=SEED,
+    )

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sdp import smat, svec, svec_dim
 from repro.sdp.svec import sym
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 def random_sym(n, seed=0):
@@ -55,9 +57,13 @@ def test_sym():
     np.testing.assert_allclose(S, [[1.0, 1.0], [1.0, 3.0]])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6))
-def test_isometry_property(n):
-    rng = np.random.default_rng(n)
-    A = sym(rng.normal(size=(n, n)))
-    assert np.linalg.norm(svec(A)) == pytest.approx(np.linalg.norm(A))
+def test_isometry_property():
+    def prop(n):
+        rng = np.random.default_rng(n)
+        A = sym(rng.normal(size=(n, n)))
+        assert np.linalg.norm(svec(A)) == pytest.approx(np.linalg.norm(A))
+
+    st.run_property(
+        "svec-isometry", st.integers(1, 6), prop,
+        n_examples=st.fuzz_examples(30), seed=SEED,
+    )

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.poly import Polynomial
-from repro.poly.monomials import monomials_upto
 from repro.smt import BranchAndPrune, CheckStatus, MeanValueEnclosure, poly_enclosure
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 def test_meanvalue_sound_on_samples():
@@ -72,20 +73,21 @@ def test_meanvalue_speeds_up_branch_and_prune():
     assert meanval.boxes_processed <= natural.boxes_processed
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.dictionaries(
-        st.sampled_from(list(monomials_upto(2, 3))),
-        st.floats(-3, 3, allow_nan=False),
-        max_size=5,
-    )
-)
-def test_meanvalue_soundness_property(coeffs):
-    p = Polynomial(2, coeffs)
-    enc = MeanValueEnclosure(p)
+def test_meanvalue_soundness_property():
     lo, hi = np.array([-0.8, 0.1]), np.array([0.3, 0.9])
-    box = enc(lo, hi)
     pts = np.random.default_rng(7).uniform(lo, hi, size=(200, 2))
-    vals = p(pts)
-    assert np.all(vals >= box.lo - 1e-8)
-    assert np.all(vals <= box.hi + 1e-8)
+
+    def prop(p):
+        box = MeanValueEnclosure(p)(lo, hi)
+        vals = p(pts)
+        assert np.all(vals >= box.lo - 1e-8)
+        assert np.all(vals <= box.hi + 1e-8)
+
+    st.run_property(
+        "meanvalue-sound",
+        st.polynomials(2, max_degree=3, max_terms=5, coeff_lo=-3.0,
+                       coeff_hi=3.0),
+        prop,
+        n_examples=st.fuzz_examples(40),
+        seed=SEED,
+    )

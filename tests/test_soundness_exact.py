@@ -288,6 +288,15 @@ def test_snbc_gate_off_skips_recheck():
     assert res.soundness is None
 
 
+def test_snbc_refuses_accept_without_certificate_bundle():
+    # an accepted verification with nothing to re-prove must not pass the
+    # gate as "no recheck needed"
+    problem, verification = verified_bundle()
+    stripped = dataclasses.replace(verification, certificate=None)
+    with pytest.raises(SoundnessError, match="no certificate bundle"):
+        snbc_for(problem)._check_soundness(stripped, iteration=1)
+
+
 def test_snbc_refuses_success_when_recheck_fails(monkeypatch):
     import repro.cegis.snbc as snbc_mod
 

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from repro.diagnostics.report import main as report_main
+from repro.diagnostics.report import render_report, report_payload
 from repro.telemetry import (
     InMemorySink,
     JSONLSink,
@@ -27,11 +29,9 @@ from repro.telemetry.report import (
     ipm_subphase_totals,
     metrics_summary,
     phase_totals,
-    render_report,
     span_aggregates,
     span_self_times,
 )
-from repro.telemetry.report import main as report_main
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +205,9 @@ def test_manifest_schema(tmp_path):
         "unit-test", config=SNBCConfig(seed=7), seed=7, trace_path="t.jsonl"
     )
     manifest.finish("success", iterations=3)
-    path = str(tmp_path / "run.manifest.json")
-    manifest.write(path)
-    loaded = RunManifest.load(path)
+    path = tmp_path / "run.manifest.json"
+    manifest.write(str(path))
+    loaded = json.loads(path.read_text())
     for key in (
         "name", "seed", "config", "trace_path", "git_sha", "platform",
         "started_at", "finished_at", "outcome", "elapsed_seconds",
@@ -221,6 +221,28 @@ def test_manifest_schema(tmp_path):
     assert loaded["extra"]["iterations"] == 3
     assert loaded["elapsed_seconds"] >= 0.0
     assert loaded["platform"]["python"] == platform_info()["python"]
+
+
+def test_manifest_write_interrupted_mid_dump_keeps_previous(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "run.manifest.json"
+    RunManifest.create("first", seed=1).write(str(path))
+    before = path.read_text()
+
+    class KilledMidDump:
+        def __str__(self):
+            raise KeyboardInterrupt("killed mid-dump")
+
+    # keys serialize sorted: "a" reaches the file before "z" blows up
+    monkeypatch.setattr(
+        RunManifest, "to_dict", lambda self: {"a": 1, "z": KilledMidDump()}
+    )
+    with pytest.raises(KeyboardInterrupt):
+        RunManifest.create("second", seed=2).write(str(path))
+    assert path.read_text() == before
+    assert json.loads(before)["name"] == "first"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.manifest.json"]
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +282,7 @@ def test_session_writes_trace_and_manifest(tmp_path):
     assert any(e["type"] == "span" for e in events)
     assert events[-1]["type"] == "metrics"
     assert events[-1]["summary"]["counters"]["cegis.iterations"] == 1.0
-    manifest = RunManifest.load(str(tmp_path / "run.manifest.json"))
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["outcome"] == "success"
     assert manifest["config"] == {"k": 1}
@@ -330,7 +352,7 @@ def test_session_marks_errors(tmp_path):
     with pytest.raises(ValueError):
         with session(trace, name="boom"):
             raise ValueError("nope")
-    manifest = RunManifest.load(str(tmp_path / "bad.manifest.json"))
+    manifest = json.loads((tmp_path / "bad.manifest.json").read_text())
     assert manifest["outcome"] == "error"
     assert "nope" in manifest["extra"]["error"]
     assert not get_telemetry().enabled
@@ -480,7 +502,6 @@ def test_span_aggregates_include_self_column():
 
 
 def test_report_payload_span_rows_carry_self(tmp_path):
-    from repro.telemetry.report import report_payload
     events = load_events(_sample_trace(tmp_path))
     payload = report_payload(events)
     assert payload["spans"]
