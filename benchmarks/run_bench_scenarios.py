@@ -12,7 +12,7 @@ and records outcomes + per-cell timings::
 
 The base seed is printed on stdout so any CI failure is replayable with
 one flag.  The emitted document is gated by
-``python -m repro.diagnostics.regress`` (kind auto-detected): hard on
+``python -m repro.diagnostics.regress`` against a baseline: hard on
 invariants — every outcome terminal, zero rational-recheck failures,
 minted expectations met — and on per-seed outcome / cell decomposition
 / region-spec hash stability; verify timings only report.
@@ -28,11 +28,12 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.diagnostics.scenariobench import (
-    scenario_doc,
-    write_scenario_bench,
+from repro.diagnostics.bench import (
+    bench_document,
+    scenario_body,
+    write_bench_document,
 )
-from repro.soundness.scenarios import batch_invariants, run_batch
+from repro.soundness.scenarios import run_batch
 
 
 def main(argv=None) -> int:
@@ -55,18 +56,20 @@ def main(argv=None) -> int:
         f"(replay with --seed {args.seed} --count {args.count})"
     )
     rows = run_batch(args.seed, args.count, time_budget_s=args.time_budget)
-    invariants = batch_invariants(rows)
-    doc = scenario_doc(
-        scale=args.scale,
-        config={
-            "base_seed": int(args.seed),
-            "count": int(args.count),
-            "time_budget_s": float(args.time_budget),
-        },
-        rows=rows,
-        invariants=invariants,
+    doc = bench_document(
+        "BENCH_scenarios",
+        args.scale,
+        **scenario_body(
+            config={
+                "base_seed": int(args.seed),
+                "count": int(args.count),
+                "time_budget_s": float(args.time_budget),
+            },
+            rows=rows,
+        ),
     )
-    write_scenario_bench(args.out, doc)
+    write_bench_document(args.out, doc)
+    invariants = doc["invariants"]
 
     counts = doc["counts"]
     print(

@@ -20,7 +20,7 @@ records what the fault-tolerance machinery did::
   afterwards and records the cache hit rate (100% expected).
 
 The emitted document is gated by ``python -m repro.diagnostics.regress``
-(kind auto-detected): hard on invariants — every job terminal, zero
+against a baseline: hard on invariants — every job terminal, zero
 corrupt entries served, serial identity — soft on chaos counters.
 """
 
@@ -35,7 +35,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.diagnostics.servicebench import service_doc, write_service_bench
+from repro.diagnostics.bench import bench_document, write_bench_document
 from repro.service import (
     CertificateCache,
     CertificationService,
@@ -165,8 +165,9 @@ def main(argv=None) -> int:
     scale = (
         "chaos" if (args.kill_worker or args.corrupt_cache) else "clean"
     )
-    doc = service_doc(
-        scale=scale,
+    doc = bench_document(
+        "BENCH_service",
+        scale,
         config={
             "jobs": args.jobs,
             "workers": args.workers,
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
             "serial_identical": serial_identical,
         },
     )
-    write_service_bench(args.out, doc)
+    write_bench_document(args.out, doc)
     print(f"wrote {args.out}")
 
     ok = (

@@ -20,10 +20,11 @@ from repro.cegis import SNBC, SNBCResult
 from repro.controllers import NNController, PolynomialInclusion, polynomial_inclusion
 from repro.diagnostics import (
     audit_certificate,
+    bench_document,
     bench_entry,
     result_outcome,
     write_audit,
-    write_bench,
+    write_bench_document,
 )
 from repro.telemetry import session as telemetry_session
 from repro.telemetry.context import TraceContext
@@ -268,5 +269,10 @@ def emit_bench_document(out_path: Optional[str] = None,
     ``python -m repro.diagnostics.regress OLD.json NEW.json``.
     """
     out_path = out_path or os.path.join(RESULTS_DIR, "BENCH_table1.json")
-    write_bench(out_path, BENCH_ROWS, scale or bench_scale())
+    write_bench_document(
+        out_path,
+        bench_document(
+            "BENCH_table1", scale or bench_scale(), systems=dict(BENCH_ROWS)
+        ),
+    )
     return out_path

@@ -146,13 +146,12 @@ class SNBCConfig:
     #: pre-``fit`` state and retry with extra samples this many times
     #: before surfacing the failure as ``outcome == "error"``
     learner_recovery_attempts: int = 2
-    #: re-prove every accepted certificate's Putinar identities over ℚ
+    #: overrides for the exact checker (shift ladder, quantization) that
+    #: re-proves every accepted certificate's Putinar identities over ℚ
     #: (:mod:`repro.soundness.checker`); a rejected recheck turns the run
     #: into ``outcome == "error"`` with a :class:`SoundnessError` — the
     #: loop never reports ``success`` on a certificate the exact checker
     #: refused
-    soundness_check: bool = True
-    #: overrides for the exact checker (shift ladder, quantization)
     soundness_config: Optional[SoundnessConfig] = None
 
 
@@ -183,8 +182,8 @@ class SNBCResult:
     #: iteration the run was resumed from, when ``run(resume_from=...)``
     resumed_from_iteration: Optional[int] = None
     #: exact rational recheck of the accepted certificate (present on
-    #: every success when ``SNBCConfig.soundness_check``; also attached —
-    #: with ``ok == False`` — when the recheck itself rejected the run)
+    #: every success; also attached — with ``ok == False`` — when the
+    #: recheck itself rejected the run)
     soundness: Optional[SoundnessReport] = None
 
     def __post_init__(self) -> None:
@@ -532,7 +531,7 @@ class SNBC:
                         soundness = self._check_soundness(
                             verification, iteration
                         )
-                        if soundness is not None and not soundness.ok:
+                        if not soundness.ok:
                             failed = soundness.failed_conditions()
                             raise SoundnessError(
                                 "exact rational recheck rejected the "
@@ -723,18 +722,15 @@ class SNBC:
 
     def _check_soundness(
         self, verification: VerificationResult, iteration: int
-    ) -> Optional[SoundnessReport]:
-        """Exact rational recheck of an accepted verification.  Returns
-        ``None`` only when the gate is off; the verdict (including
-        ``ok == False``) is the caller's to act on.  An accepted
-        verification without a certificate bundle raises
+    ) -> SoundnessReport:
+        """Exact rational recheck of an accepted verification.  The
+        verdict (including ``ok == False``) is the caller's to act on.
+        An accepted verification without a certificate bundle raises
         :class:`SoundnessError`: nothing could be re-proven, so the float
         accept must not stand.  The recheck's wall-clock lands in the
         report, not in :class:`PhaseTimings` — it is not one of the
         paper's phases."""
         cfg = self.config
-        if not cfg.soundness_check:
-            return None
         tel = self.telemetry
         # heartbeat before the recheck, so a live run never shows the
         # finished verification phase as its last sign of life

@@ -9,8 +9,12 @@ to answer *how well it went*:
 * :mod:`repro.diagnostics.audit` — independent numerical recheck of a
   synthesized certificate (Gram/IPM margins + dense-grid margins);
 * :mod:`repro.diagnostics.bench` / :mod:`repro.diagnostics.regress` —
-  the ``BENCH_table1.json`` schema and the CLI gate that compares two of
-  them (``python -m repro.diagnostics.regress OLD NEW``);
+  the one BENCH document codec (envelope, writer and loader for the
+  ``BENCH_table1`` / ``BENCH_perf`` / ``BENCH_scenarios`` /
+  ``BENCH_service`` kinds) and the CLI gate that compares two documents
+  of one kind (``python -m repro.diagnostics.regress OLD NEW``);
+* :mod:`repro.diagnostics.perfbench` — the hot-path microbench suite
+  behind ``BENCH_perf.json``;
 * :mod:`repro.diagnostics.report` — the one report command: a run's
   convergence, audit and per-phase time (text / markdown / JSON, plus
   an opt-in single-file HTML dashboard), or the fleet view over a
@@ -29,15 +33,16 @@ from repro.diagnostics.audit import (
     write_audit,
 )
 from repro.diagnostics.bench import (
-    BENCH_KIND,
+    BENCH_KINDS,
     BENCH_SCHEMA_VERSION,
     TIMING_KEYS,
     bench_document,
     bench_entry,
     error_entry,
-    load_bench,
+    load_bench_document,
     result_outcome,
-    write_bench,
+    scenario_body,
+    write_bench_document,
 )
 from repro.diagnostics.convergence import (
     DEFAULT_STALL_WINDOW,
@@ -53,7 +58,7 @@ from repro.diagnostics.convergence import (
 
 __all__ = [
     "AUDIT_SCHEMA_VERSION",
-    "BENCH_KIND",
+    "BENCH_KINDS",
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_STALL_WINDOW",
     "TIMING_KEYS",
@@ -67,9 +72,10 @@ __all__ = [
     "iteration_rows",
     "lineage_records",
     "load_audit",
-    "load_bench",
+    "load_bench_document",
     "result_outcome",
+    "scenario_body",
     "stall_event",
     "write_audit",
-    "write_bench",
+    "write_bench_document",
 ]

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.poly import Polynomial, lie_derivative, linf_norm
+from repro.telemetry import write_json_atomic
 
 AUDIT_SCHEMA_VERSION = 1
 
@@ -231,11 +232,8 @@ def audit_certificate(
 
 
 def write_audit(path: str, audit: Dict[str, Any]) -> str:
-    """Serialize an audit artifact as pretty JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return str(path)
+    """Atomically write an audit artifact as pretty JSON; returns the path."""
+    return write_json_atomic(path, audit)
 
 
 def load_audit(path: str) -> Dict[str, Any]:

@@ -1,55 +1,85 @@
-"""The ``BENCH_table1.json`` schema: one benchmark trajectory point.
+"""The BENCH document codec: one envelope, one writer, one loader.
 
-Every Table 1 harness run can be reduced to a flat JSON document of
-per-system rows — outcome, CEGIS iterations, the paper's phase timings
-``T_l``/``T_c``/``T_v``/``T_e``, and the audit margins — plus provenance
-(git SHA, platform, scale).  Two such documents are comparable by
-``python -m repro.diagnostics.regress``, which is how the repo detects
-perf/outcome regressions against a committed baseline.
-
-Schema (version 1)::
+Every benchmark driver reduces its run to one flat JSON document of the
+same shape — a shared envelope around a kind-specific body — and two
+such documents are compared by ``python -m repro.diagnostics.regress``,
+which is how the repo detects outcome/perf regressions against a
+committed baseline.  The envelope (schema version 1)::
 
     {
       "schema_version": 1,
-      "kind": "BENCH_table1",
-      "scale": "smoke" | "paper",
+      "kind": "BENCH_table1" | "BENCH_perf" | "BENCH_scenarios"
+              | "BENCH_service",
+      "scale": "<smoke | paper | sweep | chaos | ...>",
       "generated_at": "<iso8601>",
       "git_sha": "<sha or null>",
       "platform": {...},
-      "systems": {
-        "C1": {
-          "outcome": "success" | "failure" | "timeout" | "error",
-          "iterations": 1,
-          "stalled": false,
-          "d_B": 2,
-          "timings": {"T_l": ..., "T_c": ..., "T_v": ..., "T_e": ...,
-                      "inclusion": ...},
-          "audit": {"min_gram_eigenvalue": ..., "max_residual_bound": ...,
-                    "max_sdp_gap": ..., "min_grid_margin": ...} | null,
-          "soundness": {"ok": ..., "conditions": ...,
-                        "min_certified_margin": ...,
-                        "max_slack_shift": ...} | absent,
-          "error": {"kind": ..., "message": ..., ...} | absent
-        }, ...
-      }
+      ...body
     }
 
-``timeout`` is the paper's OOT (deadline overrun ended the run cleanly);
-``error`` records a typed unrecoverable failure — both carry the failure
-under ``error``.  The additive fields keep the schema at version 1:
-documents written by older revisions load unchanged.
+:data:`BENCH_KINDS` names the mapping fields each kind's body must
+carry; :func:`load_bench_document` checks them.  The bodies:
+
+* ``BENCH_table1`` (``benchmarks/run_bench_table1.py``) — ``systems``:
+  one row per Table 1 system from :func:`bench_entry`::
+
+      "C1": {
+        "outcome": "success" | "failure" | "timeout" | "error",
+        "iterations": 1,
+        "stalled": false,
+        "d_B": 2,
+        "timings": {"T_l": ..., "T_c": ..., "T_v": ..., "T_e": ...,
+                    "inclusion": ...},
+        "audit": {"min_gram_eigenvalue": ..., "max_residual_bound": ...,
+                  "max_sdp_gap": ..., "min_grid_margin": ...} | null,
+        "soundness": {"ok": ..., "conditions": ...,
+                      "min_certified_margin": ...,
+                      "max_slack_shift": ...} | absent,
+        "error": {"kind": ..., "message": ..., ...} | absent
+      }
+
+  ``timeout`` is the paper's OOT (deadline overrun ended the run
+  cleanly); ``error`` records a typed unrecoverable failure — both
+  carry the failure under ``error``.
+* ``BENCH_perf`` (:mod:`repro.diagnostics.perfbench`) — ``benches``:
+  ``{seconds, reference_seconds, speedup, identical, correctness}`` per
+  microbench.
+* ``BENCH_scenarios`` (``benchmarks/run_bench_scenarios.py``) — the
+  body :func:`scenario_body` builds from factory rows: ``config``,
+  ``scenarios`` (per seed: outcome, expected, n_obstacles, cells,
+  psi_spec_key, soundness_ok, elapsed_seconds), ``counts``, ``timings``
+  and ``invariants`` (all_terminal, no_soundness_failures,
+  expectations_met).
+* ``BENCH_service`` (``benchmarks/run_bench_service.py``) — ``config``,
+  ``jobs`` (per key: status, attempts, redeliveries, from_cache,
+  payload_sha256, serial_match), ``counts``, ``cache`` (hit_rate,
+  evictions) and ``invariants`` (all_terminal, no_corrupt_served,
+  serial_identical).
+
+Additive fields keep the schema at version 1: documents written by
+older revisions load unchanged.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.telemetry import collect_git_sha, platform_info
+from repro.telemetry import collect_git_sha, platform_info, write_json_atomic
 
 BENCH_SCHEMA_VERSION = 1
-BENCH_KIND = "BENCH_table1"
+
+#: document kind -> the mapping fields its body must carry
+BENCH_KINDS = {
+    "BENCH_table1": ("systems",),
+    "BENCH_perf": ("benches",),
+    "BENCH_scenarios": ("scenarios", "counts", "invariants"),
+    "BENCH_service": ("jobs", "counts", "invariants"),
+}
+
+#: scenario outcome classes a BENCH_scenarios document counts
+SCENARIO_OUTCOMES = ("certified", "falsified", "unsound", "timeout", "error")
 
 #: timing keys every entry carries (paper column names + phase 0)
 TIMING_KEYS = ("T_l", "T_c", "T_v", "T_e", "inclusion")
@@ -129,44 +159,98 @@ def error_entry(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def bench_document(
-    systems: Dict[str, Dict[str, Any]], scale: str, **extra: Any
+def scenario_body(
+    config: Dict[str, Any], rows: Sequence[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """Assemble the full document around prepared ``systems`` rows."""
+    """The ``BENCH_scenarios`` body from scenario-factory result rows:
+    per-seed entries, outcome counts, verify timings and the batch
+    invariants."""
+    from repro.soundness.scenarios import batch_invariants
+
+    scenarios: Dict[str, Dict[str, Any]] = {}
+    per_condition: Dict[str, List[float]] = {}
+    for row in rows:
+        entry: Dict[str, Any] = {
+            "outcome": row.get("outcome"),
+            "expected": row.get("expected"),
+            "n_obstacles": int(row.get("params", {}).get("n_obstacles", 0)),
+            "cells": dict(row.get("cells", {})),
+            "psi_spec_key": row.get("psi_spec_key"),
+            "soundness_ok": row.get("soundness_ok"),
+            "elapsed_seconds": float(row.get("elapsed_seconds", 0.0)),
+        }
+        if row.get("error"):
+            entry["error"] = dict(row["error"])
+        scenarios[str(row["seed"])] = entry
+        for cond in row.get("conditions", []):
+            base = str(cond.get("name", "")).split("[", 1)[0]
+            per_condition.setdefault(base, []).append(
+                float(cond.get("elapsed_seconds", 0.0))
+            )
+
+    counts = {"total": len(rows)}
+    for outcome in SCENARIO_OUTCOMES:
+        counts[outcome] = sum(
+            1 for row in rows if row.get("outcome") == outcome
+        )
+    elapsed = [float(row.get("elapsed_seconds", 0.0)) for row in rows]
+    timings = {
+        "total_seconds": round(sum(elapsed), 6),
+        "mean_verify_seconds": round(
+            sum(elapsed) / len(elapsed), 6
+        ) if elapsed else 0.0,
+        "max_verify_seconds": round(max(elapsed), 6) if elapsed else 0.0,
+        "per_condition_mean": {
+            name: round(sum(vals) / len(vals), 6)
+            for name, vals in sorted(per_condition.items())
+        },
+    }
+    return {
+        "config": config,
+        "scenarios": scenarios,
+        "counts": counts,
+        "timings": timings,
+        "invariants": batch_invariants(rows),
+    }
+
+
+def bench_document(kind: str, scale: str, **body: Any) -> Dict[str, Any]:
+    """Wrap a kind's ``body`` fields in the shared envelope."""
+    if kind not in BENCH_KINDS:
+        raise ValueError(f"unknown BENCH document kind {kind!r}")
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": BENCH_KIND,
+        "kind": kind,
         "scale": scale,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "git_sha": collect_git_sha(),
         "platform": platform_info(),
-        "systems": dict(systems),
-        **extra,
+        **body,
     }
 
 
-def write_bench(
-    path: str, systems: Dict[str, Dict[str, Any]], scale: str, **extra: Any
-) -> Dict[str, Any]:
-    """Write a BENCH document to ``path``; returns the document."""
-    doc = bench_document(systems, scale, **extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+def write_bench_document(path: str, doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Atomically write a BENCH document as pretty JSON; returns it."""
+    write_json_atomic(path, doc)
     return doc
 
 
-def load_bench(path: str) -> Dict[str, Any]:
-    """Read and schema-check a BENCH document."""
+def load_bench_document(path: str, kind: Optional[str] = None) -> Dict[str, Any]:
+    """Read and schema-check a BENCH document of any kind — or, when
+    ``kind`` is given, of that kind only."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") != BENCH_KIND:
-        raise ValueError(f"{path}: not a {BENCH_KIND} document")
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if found not in BENCH_KINDS or (kind is not None and found != kind):
+        raise ValueError(
+            f"{path}: not a {kind or 'BENCH'} document (kind {found!r})"
+        )
     if doc.get("schema_version") != BENCH_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported schema_version "
             f"{doc.get('schema_version')!r} (expected {BENCH_SCHEMA_VERSION})"
         )
-    if not isinstance(doc.get("systems"), dict):
-        raise ValueError(f"{path}: missing 'systems' mapping")
+    for field in BENCH_KINDS[found]:
+        if not isinstance(doc.get(field), dict):
+            raise ValueError(f"{path}: missing/invalid {field!r}")
     return doc

@@ -19,6 +19,8 @@ import html as _html
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry.report import ordered_phases
+
 #: fixed categorical slots per condition family (light, dark)
 CONDITION_COLORS = {
     "init": ("#2a78d6", "#3987e5"),
@@ -327,15 +329,11 @@ def lineage_chart(records: Sequence[Dict[str, Any]]) -> str:
 
 def phase_chart(phases: Dict[str, float]) -> str:
     """Phase time breakdown: single-hue horizontal bars (the message is
-    magnitude; labels carry identity) + table."""
+    magnitude; labels carry identity) + table, in the text report's
+    phase order."""
     if not phases:
         return "<p class='sub'>no phase spans in this trace</p>"
-    order = ["inclusion", "learning", "verification", "counterexample"]
-    items = [(p, phases[p]) for p in order if p in phases]
-    items += sorted(
-        (kv for kv in phases.items() if kv[0] not in order),
-        key=lambda kv: -kv[1],
-    )
+    items = [(p, phases[p]) for p in ordered_phases(phases)]
     total = sum(v for _, v in items) or 1.0
     width, row_h, label_w = 640, 26, 130
     height = row_h * len(items) + 8

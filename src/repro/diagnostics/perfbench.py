@@ -1,4 +1,4 @@
-"""The ``BENCH_perf.json`` schema and microbench suite.
+"""The hot-path microbench suite behind ``BENCH_perf.json``.
 
 Each microbench times one hot path of the pipeline twice — with the
 performance layer enabled (``seconds``) and with every optimization
@@ -17,47 +17,30 @@ produced *identical* results.  The four benches:
 * ``e2e_c1`` — the full C1 CEGIS loop, with the CEGIS outcome,
   iteration count and final certificate compared across variants.
 
-Schema (version 1)::
+The suite's ``BENCH_perf`` document (envelope and loader in
+:mod:`repro.diagnostics.bench`) carries one ``benches`` row per bench::
 
-    {
-      "schema_version": 1,
-      "kind": "BENCH_perf",
-      "scale": "smoke",
-      "generated_at": "<iso8601>",
-      "git_sha": "<sha or null>",
-      "platform": {...},
-      "benches": {
-        "<name>": {
-          "seconds": <optimized>,
-          "reference_seconds": <all optimizations off>,
-          "speedup": <reference/optimized>,
-          "identical": true,          # hard-gated by regress
-          "correctness": {...} | null # e2e only: outcome/iterations/...
-        }, ...
-      }
+    "<name>": {
+      "seconds": <optimized>,
+      "reference_seconds": <all optimizations off>,
+      "speedup": <reference/optimized>,
+      "identical": true,          # hard-gated by regress
+      "correctness": {...} | null # e2e only: outcome/iterations/...
     }
 
-``python -m repro.diagnostics.regress`` auto-detects the kind and gates
-two such documents: loose on timings (they are machine-dependent), hard
-on ``identical`` flags and on the e2e correctness row.
+``python -m repro.diagnostics.regress`` gates two such documents: loose
+on timings (they are machine-dependent), hard on ``identical`` flags
+and on the e2e correctness row.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from datetime import datetime, timezone
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.telemetry import collect_git_sha, platform_info
-
-PERF_SCHEMA_VERSION = 1
-PERF_KIND = "BENCH_perf"
-
-#: bench names the suite emits (regress warns when one goes missing)
-PERF_BENCH_NAMES = ("train_epoch", "verify_iteration", "cex_search", "e2e_c1")
+from repro.diagnostics.bench import bench_document
 
 
 def _timed(fn: Callable[[], Any]) -> Tuple[float, Any]:
@@ -269,9 +252,6 @@ def _verification_identical(a: Any, b: Any) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# document assembly / IO
-# ----------------------------------------------------------------------
 def run_suite(scale: str = "smoke") -> Dict[str, Any]:
     """Run every microbench; returns the full BENCH_perf document."""
     benches = {
@@ -280,42 +260,4 @@ def run_suite(scale: str = "smoke") -> Dict[str, Any]:
         "cex_search": bench_cex_search(),
         "e2e_c1": bench_e2e_c1(),
     }
-    return perf_document(benches, scale=scale)
-
-
-def perf_document(
-    benches: Dict[str, Dict[str, Any]], scale: str = "smoke", **extra: Any
-) -> Dict[str, Any]:
-    return {
-        "schema_version": PERF_SCHEMA_VERSION,
-        "kind": PERF_KIND,
-        "scale": scale,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "git_sha": collect_git_sha(),
-        "platform": platform_info(),
-        "benches": dict(benches),
-        **extra,
-    }
-
-
-def write_perf(path: str, doc: Dict[str, Any]) -> Dict[str, Any]:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return doc
-
-
-def load_perf(path: str) -> Dict[str, Any]:
-    """Read and schema-check a BENCH_perf document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") != PERF_KIND:
-        raise ValueError(f"{path}: not a {PERF_KIND} document")
-    if doc.get("schema_version") != PERF_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema_version "
-            f"{doc.get('schema_version')!r} (expected {PERF_SCHEMA_VERSION})"
-        )
-    if not isinstance(doc.get("benches"), dict):
-        raise ValueError(f"{path}: missing 'benches' mapping")
-    return doc
+    return bench_document("BENCH_perf", scale, benches=benches)

@@ -49,10 +49,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.diagnostics.convergence import convergence_summary
 from repro.diagnostics.html import render_dashboard
 from repro.telemetry.report import (
-    PHASE_ORDER,
     cache_rates,
     ipm_subphase_totals,
     metrics_summary,
+    ordered_phases,
     phase_totals,
     span_aggregates,
     worker_lanes,
@@ -212,9 +212,10 @@ def _phase_table(
     totals: Dict[str, float], manifest: Optional[Dict[str, Any]], md: bool
 ) -> List[str]:
     grand = sum(totals.values())
-    ordered = [p for p in PHASE_ORDER if p in totals]
-    ordered += sorted(set(totals) - set(ordered))
-    rows = [[p, f"{totals[p]:.3f}", _share(totals[p], grand)] for p in ordered]
+    rows = [
+        [p, f"{totals[p]:.3f}", _share(totals[p], grand)]
+        for p in ordered_phases(totals)
+    ]
     rows.append(["total", f"{grand:.3f}", _share(grand, grand)])
     elapsed = (manifest or {}).get("elapsed_seconds")
     if isinstance(elapsed, (int, float)):

@@ -39,7 +39,12 @@ from repro.telemetry.context import (
     merge_shard_events,
     worker_session,
 )
-from repro.telemetry.manifest import RunManifest, collect_git_sha, platform_info
+from repro.telemetry.manifest import (
+    RunManifest,
+    collect_git_sha,
+    platform_info,
+    write_json_atomic,
+)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import (
     SamplingProfiler,
@@ -96,4 +101,5 @@ __all__ = [
     "session",
     "set_active_profiler",
     "worker_session",
+    "write_json_atomic",
 ]

@@ -4,6 +4,10 @@ A manifest captures everything needed to interpret (and re-run) a trace:
 the configuration echo, the seed, the git commit if available, platform
 facts, start/end wall times, and the outcome.  It is deliberately a flat
 JSON document so diffs between two runs are greppable.
+
+:func:`write_json_atomic` is the one way a JSON artifact reaches disk,
+here and across the repo (BENCH documents, audits, status heartbeats,
+cache entries, checkpoints).
 """
 
 from __future__ import annotations
@@ -49,6 +53,39 @@ def platform_info() -> Dict[str, str]:
         "release": _platform.release(),
         "machine": _platform.machine(),
     }
+
+
+def write_json_atomic(path: str, doc: Any, compact: bool = False) -> str:
+    """Write ``doc`` as JSON to ``path`` atomically; returns the path.
+
+    The dump goes to a temp file in the target directory (created when
+    missing) and lands with ``os.replace``, so a reader or a crash sees
+    the previous file or the new one, never a torn one; the temp file
+    is removed on any failure.  Two formats: pretty (``indent=2``,
+    sorted keys, trailing newline: the diffable results artifacts) and
+    ``compact`` (no whitespace: heartbeats, cache entries, checkpoints).
+    Values JSON cannot encode are written as their ``str``.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if compact:
+                json.dump(doc, fh, separators=(",", ":"), default=str)
+            else:
+                json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return str(path)
 
 
 def _config_echo(config: Any) -> Any:
@@ -125,21 +162,7 @@ class RunManifest:
     def write(self, path: str) -> str:
         """Serialize to ``path`` as pretty JSON; returns the path.
 
-        Atomic (temp file + ``os.replace``): ``session`` rewrites the
-        manifest when the run finishes, and a process killed mid-dump
-        must leave the previous manifest, not a torn one."""
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(
-            prefix=".manifest-", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(
-                    self.to_dict(), fh, indent=2, sort_keys=True, default=str
-                )
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        return str(path)
+        Atomic: ``session`` rewrites the manifest when the run finishes,
+        and a process killed mid-dump must leave the previous manifest,
+        not a torn one."""
+        return write_json_atomic(path, self.to_dict())

@@ -17,6 +17,13 @@ PHASE_ORDER = ["inclusion", "learning", "verification", "soundness",
                "counterexample"]
 
 
+def ordered_phases(totals: Dict[str, float]) -> List[str]:
+    """The phases of ``totals`` in :data:`PHASE_ORDER`, then any others
+    by name — the one row order of every phase table and chart."""
+    ordered = [p for p in PHASE_ORDER if p in totals]
+    return ordered + sorted(set(totals) - set(ordered))
+
+
 def phase_totals(events: Sequence[Dict[str, Any]]) -> Dict[str, float]:
     """Sum span durations per ``phase`` attribute.
 

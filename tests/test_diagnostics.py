@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 
 import pytest
 
@@ -12,10 +14,11 @@ from repro.diagnostics import (
     bench_entry,
     convergence_summary,
     detect_stall,
+    bench_document,
     load_audit,
-    load_bench,
+    load_bench_document,
     write_audit,
-    write_bench,
+    write_bench_document,
 )
 from repro.diagnostics.regress import compare_benches, compare_perf_benches
 from repro.diagnostics.regress import main as regress_main
@@ -256,10 +259,16 @@ def test_bench_entry_from_result(c1_run):
     assert entry["audit"]["min_grid_margin"] > 0
 
 
+def _write_table1(path, systems):
+    return write_bench_document(
+        path, bench_document("BENCH_table1", "smoke", systems=systems)
+    )
+
+
 def test_bench_write_load_roundtrip(tmp_path):
     path = str(tmp_path / "BENCH_table1.json")
-    doc = write_bench(path, {"C1": _bench_row()}, "smoke")
-    loaded = load_bench(path)
+    doc = _write_table1(path, {"C1": _bench_row()})
+    loaded = load_bench_document(path)
     assert loaded["kind"] == "BENCH_table1"
     assert loaded["schema_version"] == 1
     assert loaded["scale"] == "smoke"
@@ -268,40 +277,38 @@ def test_bench_write_load_roundtrip(tmp_path):
     with open(path, "w") as fh:
         json.dump({"kind": "something_else"}, fh)
     with pytest.raises(ValueError):
-        load_bench(path)
+        load_bench_document(path)
 
 
 def test_compare_benches_pure():
     old = {"scale": "smoke", "systems": {"C1": _bench_row(t=1.0)}}
     same = {"scale": "smoke", "systems": {"C1": _bench_row(t=1.0)}}
-    assert compare_benches(old, same) == {"regressions": [], "warnings": []}
+    assert compare_benches(old, same, 1.3) == {"regressions": [],
+                                               "warnings": []}
 
     slow = {"scale": "smoke", "systems": {"C1": _bench_row(t=3.0)}}
     out = compare_benches(old, slow, max_slowdown=1.3)
     assert any("T_e" in r for r in out["regressions"])
-    assert compare_benches(old, slow, ignore_timings=True)["regressions"] == []
+    assert compare_benches(old, slow, max_slowdown=10)["regressions"] == []
 
     failed = {"scale": "smoke",
               "systems": {"C1": _bench_row(outcome="failure", t=1.0)}}
-    out = compare_benches(old, failed)
+    out = compare_benches(old, failed, 1.3)
     assert any("outcome regressed" in r for r in out["regressions"])
 
     more_iters = {"scale": "smoke",
                   "systems": {"C1": _bench_row(iterations=3, t=1.0)}}
-    out = compare_benches(old, more_iters, ignore_timings=True)
+    out = compare_benches(old, more_iters, 1.3)
     assert any("iterations" in r for r in out["regressions"])
-    out = compare_benches(old, more_iters, max_extra_iterations=5,
-                          ignore_timings=True)
-    assert out["regressions"] == []
 
     missing = {"scale": "smoke", "systems": {}}
-    assert compare_benches(old, missing)["regressions"]
-    out = compare_benches(old, missing, allow_missing=True)
+    assert compare_benches(old, missing, 1.3)["regressions"]
+    out = compare_benches(old, missing, 1.3, allow_missing=True)
     assert out["regressions"] == [] and out["warnings"]
 
     flipped = {"scale": "paper",
                "systems": {"C1": _bench_row(t=1.0, margin=-0.1)}}
-    out = compare_benches(old, flipped, ignore_timings=True)
+    out = compare_benches(old, flipped, 1.3)
     assert out["regressions"] == []
     assert any("scale mismatch" in w for w in out["warnings"])
     assert any("flipped sign" in w for w in out["warnings"])
@@ -309,13 +316,13 @@ def test_compare_benches_pure():
 
 def test_regress_cli_exit_codes(tmp_path, capsys):
     old = str(tmp_path / "old.json")
-    write_bench(old, {"C1": _bench_row(t=1.0)}, "smoke")
+    _write_table1(old, {"C1": _bench_row(t=1.0)})
 
     assert regress_main([old, old]) == 0
     assert "no regressions" in capsys.readouterr().out
 
     slow = str(tmp_path / "slow.json")
-    write_bench(slow, {"C1": _bench_row(t=3.0)}, "smoke")
+    _write_table1(slow, {"C1": _bench_row(t=3.0)})
     assert regress_main([old, slow, "--max-slowdown", "1.3"]) == 1
     assert "FAIL" in capsys.readouterr().out
     # generous threshold lets the same document pass
@@ -345,21 +352,21 @@ def test_compare_perf_benches_pure():
                        "train_epoch": _perf_row()}}
     same = {"benches": {"e2e_c1": _perf_row(correctness=dict(corr)),
                         "train_epoch": _perf_row()}}
-    assert compare_perf_benches(old, same) == {"regressions": [],
-                                               "warnings": []}
+    assert compare_perf_benches(old, same, 1.3) == {"regressions": [],
+                                                    "warnings": []}
 
-    # timing is loose and ignorable; identity is hard either way
+    # timing is loose (a generous threshold passes); identity is hard
     slow = {"benches": {"e2e_c1": _perf_row(5.0, correctness=dict(corr)),
                         "train_epoch": _perf_row()}}
     out = compare_perf_benches(old, slow, max_slowdown=3.0)
     assert any("5.000s" in r for r in out["regressions"])
-    assert compare_perf_benches(old, slow, ignore_timings=True) == {
+    assert compare_perf_benches(old, slow, max_slowdown=10) == {
         "regressions": [], "warnings": []
     }
     diverged = {"benches": {"e2e_c1": _perf_row(identical=False,
                                                 correctness=dict(corr)),
                             "train_epoch": _perf_row()}}
-    out = compare_perf_benches(old, diverged, ignore_timings=True)
+    out = compare_perf_benches(old, diverged, 1.3)
     assert any("diverged" in r for r in out["regressions"])
 
     failed = {"benches": {
@@ -367,25 +374,26 @@ def test_compare_perf_benches_pure():
                                          "iterations": 2}),
         "train_epoch": _perf_row(),
     }}
-    out = compare_perf_benches(old, failed, ignore_timings=True)
+    out = compare_perf_benches(old, failed, 1.3)
     assert any("outcome regressed" in r for r in out["regressions"])
 
     missing = {"benches": {"e2e_c1": _perf_row(correctness=dict(corr))}}
-    assert compare_perf_benches(old, missing)["regressions"]
-    out = compare_perf_benches(old, missing, allow_missing=True)
+    assert compare_perf_benches(old, missing, 1.3)["regressions"]
+    out = compare_perf_benches(old, missing, 1.3, allow_missing=True)
     assert out["regressions"] == [] and out["warnings"]
 
 
 def test_regress_cli_perf_kind(tmp_path, capsys):
-    from repro.diagnostics.perfbench import perf_document, write_perf
+    def perf_document(benches):
+        return bench_document("BENCH_perf", "smoke", benches=benches)
 
     perf = str(tmp_path / "perf.json")
-    write_perf(perf, perf_document({"train_epoch": _perf_row()}))
+    write_bench_document(perf, perf_document({"train_epoch": _perf_row()}))
     assert regress_main([perf, perf]) == 0
     assert "no regressions" in capsys.readouterr().out
 
     diverged = str(tmp_path / "diverged.json")
-    write_perf(
+    write_bench_document(
         diverged, perf_document({"train_epoch": _perf_row(identical=False)})
     )
     assert regress_main([perf, diverged]) == 1
@@ -393,8 +401,44 @@ def test_regress_cli_perf_kind(tmp_path, capsys):
 
     # mixing document kinds is a usage error, not a comparison
     table = str(tmp_path / "table.json")
-    write_bench(table, {"C1": _bench_row(t=1.0)}, "smoke")
+    _write_table1(table, {"C1": _bench_row(t=1.0)})
     assert regress_main([perf, table]) == 2
+
+
+def test_regress_gates_every_bench_kind():
+    from repro.diagnostics import BENCH_KINDS
+    from repro.diagnostics.regress import GATES
+
+    assert set(GATES) == set(BENCH_KINDS)
+
+
+def test_regress_cli_service_kind(tmp_path, capsys):
+    def service_doc(status="success", hit_rate=1.0, **invariants):
+        return bench_document(
+            "BENCH_service", "chaos",
+            config={"jobs": 1, "workers": 0},
+            jobs={"ab" * 32: {"status": status, "attempts": 1,
+                              "redeliveries": 0, "from_cache": False}},
+            counts={"retries": 0, "redeliveries": 0},
+            cache={"hit_rate": hit_rate, "evictions": 0},
+            invariants={"all_terminal": True, "no_corrupt_served": True,
+                        "serial_identical": True, **invariants},
+        )
+
+    old = str(tmp_path / "old.json")
+    write_bench_document(old, service_doc())
+    assert regress_main([old, old]) == 0
+    assert "no regressions" in capsys.readouterr().out
+    for name, doc, message in [
+        ("dead.json", service_doc(status="dead_letter"), "outcome regressed"),
+        ("cold.json", service_doc(hit_rate=0.5), "cache hit rate fell"),
+        ("corrupt.json", service_doc(no_corrupt_served=False),
+         "corrupt cache entry"),
+    ]:
+        new = str(tmp_path / name)
+        write_bench_document(new, doc)
+        assert regress_main([old, new]) == 1
+        assert message in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +489,25 @@ def test_report_cli_renders_and_writes_dashboard(tmp_path, capsys):
     # the .jsonl path spells the same family: same report, manifest included
     assert report_main([base + ".jsonl"]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_html_phase_chart_follows_text_phase_order(tmp_path, capsys):
+    # the dashboard's phase bars come in the text Phases table's row
+    # order, soundness included (committed C1 fleet fixture)
+    base = os.path.join(os.path.dirname(__file__), "data", "fleet",
+                        "C1-smoke")
+    assert report_main([base]) == 0
+    section = capsys.readouterr().out.split("== Phases ==\n", 1)[1]
+    rows = section.split("\n\n", 1)[0].splitlines()[2:]  # header, rule
+    text_order = [r.split()[0] for r in rows
+                  if r.split()[0] not in ("total", "unaccounted")]
+    page = tmp_path / "C1.html"
+    assert report_main([base, "--html", str(page)]) == 0
+    capsys.readouterr()
+    chart = page.read_text(encoding="utf-8").split(
+        'aria-label="seconds per phase"', 1)[1].split("</svg>", 1)[0]
+    assert "soundness" in text_order
+    assert re.findall(r"<title>([a-z_]+):", chart) == text_order
 
 
 def test_report_cli_no_html(tmp_path, capsys):

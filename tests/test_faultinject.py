@@ -238,19 +238,27 @@ def test_verifier_pool_crash_falls_back_to_serial():
 # ----------------------------------------------------------------------
 # satellite (b)+(c): bench table continues past bad rows
 # ----------------------------------------------------------------------
-def _bench_modules():
+def _bench_modules(monkeypatch, tmp_path):
+    """The Table 1 driver modules, with every artifact they write (run
+    traces, manifests, audits, status heartbeats, BENCH documents)
+    redirected under ``tmp_path`` so the committed results tree stays
+    untouched."""
     if BENCH_DIR not in sys.path:
         sys.path.insert(0, BENCH_DIR)
     import run_bench_table1
     import table1_common
 
+    monkeypatch.setattr(
+        table1_common, "TELEMETRY_DIR", str(tmp_path / "telemetry")
+    )
+    monkeypatch.setattr(table1_common, "RESULTS_DIR", str(tmp_path))
     return run_bench_table1, table1_common
 
 
-def test_bench_serial_records_error_row_and_continues(tmp_path):
+def test_bench_serial_records_error_row_and_continues(tmp_path, monkeypatch):
     import argparse
 
-    driver, common = _bench_modules()
+    driver, common = _bench_modules(monkeypatch, tmp_path)
     common.BENCH_ROWS.clear()
     args = argparse.Namespace(
         jobs=1, checkpoint_dir=None, resume=False, time_budget=None
@@ -270,10 +278,10 @@ def test_bench_serial_records_error_row_and_continues(tmp_path):
     assert out in (0, 1)  # document emitted either way
 
 
-def test_bench_parallel_worker_crash_retried_serially(tmp_path):
+def test_bench_parallel_worker_crash_retried_serially(tmp_path, monkeypatch):
     import argparse
 
-    driver, common = _bench_modules()
+    driver, common = _bench_modules(monkeypatch, tmp_path)
     common.BENCH_ROWS.clear()
     args = argparse.Namespace(
         jobs=2, checkpoint_dir=None, resume=False, time_budget=None

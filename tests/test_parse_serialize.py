@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.poly import Polynomial
 from repro.poly.monomials import monomials_upto
 from repro.poly.parse import parse_polynomial
+from repro.soundness import strategies as st
 from repro.utils import (
     load_certificate,
     polynomial_from_dict,
     polynomial_to_dict,
     save_certificate,
 )
+
+SEED = st.resolve_seed(0)
 
 
 # ----------------------------------------------------------------------
@@ -77,19 +79,28 @@ def test_parse_errors():
         parse_polynomial("2*?")
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.dictionaries(
-        st.sampled_from(list(monomials_upto(2, 3))),
-        st.floats(-10, 10, allow_nan=False).filter(lambda v: abs(v) > 1e-6),
-        min_size=1,
-        max_size=5,
+def test_parse_str_roundtrip():
+    terms = st.tuples(
+        st.sampled_from(list(monomials_upto(2, 3))), st.floats(-10, 10)
     )
-)
-def test_parse_str_roundtrip(coeffs):
-    p = Polynomial(2, coeffs)
-    q = parse_polynomial(str(p), n_vars=2)
-    assert q.is_close(p, tol=1e-5 * max(1.0, max(abs(c) for c in coeffs.values())))
+
+    def prop(pairs):
+        coeffs = {alpha: c for alpha, c in pairs if abs(c) > 1e-6}
+        if not coeffs:
+            return
+        p = Polynomial(2, coeffs)
+        q = parse_polynomial(str(p), n_vars=2)
+        assert q.is_close(
+            p, tol=1e-5 * max(1.0, max(abs(c) for c in coeffs.values()))
+        )
+
+    st.run_property(
+        "parse-str-roundtrip",
+        st.lists(terms, 1, 5),
+        prop,
+        n_examples=st.fuzz_examples(40),
+        seed=SEED,
+    )
 
 
 # ----------------------------------------------------------------------

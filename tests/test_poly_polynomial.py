@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.poly import Polynomial, monomials_upto
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 def poly_xy():
@@ -174,34 +176,56 @@ def test_hash_consistent_with_eq():
 # property-based: ring axioms and eval homomorphism
 # ----------------------------------------------------------------------
 def small_polys(n_vars=2, max_deg=3):
-    basis = list(monomials_upto(n_vars, max_deg))
-    coeff = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
-    return st.dictionaries(st.sampled_from(basis), coeff, max_size=6).map(
-        lambda d: Polynomial(n_vars, d)
+    return st.polynomials(n_vars, max_degree=max_deg, max_terms=6,
+                          coeff_lo=-5.0, coeff_hi=5.0)
+
+
+def test_ring_axioms():
+    def prop(polys):
+        p, q, r = polys
+        assert (p + q).is_close(q + p, tol=1e-8)
+        assert ((p + q) + r).is_close(p + (q + r), tol=1e-8)
+        assert (p * q).is_close(q * p, tol=1e-6)
+        assert (p * (q + r)).is_close(p * q + p * r, tol=1e-6)
+
+    st.run_property(
+        "poly-ring-axioms",
+        st.tuples(small_polys(), small_polys(), small_polys()),
+        prop,
+        n_examples=st.fuzz_examples(50),
+        seed=SEED,
     )
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_polys(), small_polys(), small_polys())
-def test_ring_axioms(p, q, r):
-    assert (p + q).is_close(q + p, tol=1e-8)
-    assert ((p + q) + r).is_close(p + (q + r), tol=1e-8)
-    assert (p * q).is_close(q * p, tol=1e-6)
-    assert (p * (q + r)).is_close(p * q + p * r, tol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(small_polys(), small_polys())
-def test_eval_is_ring_homomorphism(p, q):
+def test_eval_is_ring_homomorphism():
     pts = np.array([[0.3, -0.7], [1.1, 0.9], [-1.5, 0.2]])
-    np.testing.assert_allclose((p + q)(pts), p(pts) + q(pts), atol=1e-8)
-    np.testing.assert_allclose((p * q)(pts), p(pts) * q(pts), atol=1e-6)
+
+    def prop(polys):
+        p, q = polys
+        np.testing.assert_allclose((p + q)(pts), p(pts) + q(pts), atol=1e-8)
+        np.testing.assert_allclose((p * q)(pts), p(pts) * q(pts), atol=1e-6)
+
+    st.run_property(
+        "poly-eval-homomorphism",
+        st.tuples(small_polys(), small_polys()),
+        prop,
+        n_examples=st.fuzz_examples(50),
+        seed=SEED,
+    )
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_polys())
-def test_derivative_linearity_and_leibniz(p):
+def test_derivative_linearity_and_leibniz():
     q = Polynomial(2, {(1, 0): 1.0, (0, 2): 0.5})
-    lhs = (p * q).diff(0)
-    rhs = p.diff(0) * q + p * q.diff(0)
-    assert lhs.is_close(rhs, tol=1e-6)
+
+    def prop(p):
+        lhs = (p * q).diff(0)
+        rhs = p.diff(0) * q + p * q.diff(0)
+        assert lhs.is_close(rhs, tol=1e-6)
+
+    st.run_property(
+        "poly-leibniz",
+        small_polys(),
+        prop,
+        n_examples=st.fuzz_examples(30),
+        seed=SEED,
+    )

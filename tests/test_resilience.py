@@ -468,19 +468,19 @@ def test_regress_flags_new_failure_class():
         return {"scale": "smoke", "systems": {"C1": row}}
 
     # failure -> timeout is a NEW failure class: hard regression
-    out = compare_benches(doc("failure"), doc("timeout"))
+    out = compare_benches(doc("failure"), doc("timeout"), 1.3)
     assert any("new failure class" in r for r in out["regressions"])
     # failure -> error likewise, and the kind is named
     out = compare_benches(
-        doc("failure"), doc("error", {"kind": "LearnerDivergence"})
+        doc("failure"), doc("error", {"kind": "LearnerDivergence"}), 1.3
     )
     assert any("LearnerDivergence" in r for r in out["regressions"])
     # success -> timeout caught by the outcome check
-    out = compare_benches(doc("success"), doc("timeout"))
+    out = compare_benches(doc("success"), doc("timeout"), 1.3)
     assert any("outcome regressed" in r for r in out["regressions"])
     # timeout -> timeout is stable, not a regression
-    out = compare_benches(doc("timeout"), doc("timeout"))
+    out = compare_benches(doc("timeout"), doc("timeout"), 1.3)
     assert out["regressions"] == []
     # failure -> failure unchanged
-    out = compare_benches(doc("failure"), doc("failure"))
+    out = compare_benches(doc("failure"), doc("failure"), 1.3)
     assert out["regressions"] == []

@@ -12,13 +12,13 @@ import json
 
 import pytest
 
-from repro.diagnostics.scenariobench import (
-    SCENARIO_KIND,
-    compare_scenario_benches,
-    load_scenario_bench,
-    scenario_doc,
-    write_scenario_bench,
+from repro.diagnostics.bench import (
+    bench_document,
+    load_bench_document,
+    scenario_body,
+    write_bench_document,
 )
+from repro.diagnostics.regress import compare_scenario_benches
 from repro.soundness.scenarios import (
     INFEASIBLE_STRIDE,
     TERMINAL_OUTCOMES,
@@ -101,20 +101,23 @@ class TestFactory:
 
 class TestBenchDoc:
     def _doc(self, rows):
-        return scenario_doc(
-            scale="smoke",
-            config={"base_seed": 0, "count": len(rows),
-                    "time_budget_s": 30.0},
-            rows=rows,
+        return bench_document(
+            "BENCH_scenarios",
+            "smoke",
+            **scenario_body(
+                config={"base_seed": 0, "count": len(rows),
+                        "time_budget_s": 30.0},
+                rows=rows,
+            ),
         )
 
     def test_doc_write_load_round_trip(self, tmp_path):
         rows = run_batch(0, 6)
         doc = self._doc(rows)
         path = tmp_path / "BENCH_scenarios.json"
-        write_scenario_bench(str(path), doc)
-        loaded = load_scenario_bench(str(path))
-        assert loaded["kind"] == SCENARIO_KIND
+        write_bench_document(str(path), doc)
+        loaded = load_bench_document(str(path), kind="BENCH_scenarios")
+        assert loaded["kind"] == "BENCH_scenarios"
         assert loaded["counts"]["total"] == 6
         assert loaded["scenarios"] == json.loads(
             json.dumps(doc["scenarios"])
@@ -124,7 +127,7 @@ class TestBenchDoc:
         path = tmp_path / "bogus.json"
         path.write_text('{"kind": "BENCH_table1"}')
         with pytest.raises(ValueError):
-            load_scenario_bench(str(path))
+            load_bench_document(str(path), kind="BENCH_scenarios")
 
     def test_identical_docs_pass_gate(self):
         rows = run_batch(0, 6)
@@ -175,12 +178,12 @@ class TestBenchDoc:
         doc = self._doc(rows)
         old_path = tmp_path / "old.json"
         new_path = tmp_path / "new.json"
-        write_scenario_bench(str(old_path), doc)
+        write_bench_document(str(old_path), doc)
         bad = copy.deepcopy(doc)
         seed = next(iter(bad["scenarios"]))
         bad["scenarios"][seed]["outcome"] = "error"
         bad["invariants"]["all_terminal"] = False
-        write_scenario_bench(str(new_path), bad)
+        write_bench_document(str(new_path), bad)
 
         assert main([str(old_path), str(old_path)]) == 0
         assert main([str(old_path), str(new_path)]) == 1

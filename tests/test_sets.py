@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.poly import Polynomial
 from repro.sets import Ball, Box, SemialgebraicSet
+from repro.soundness import strategies as st
+
+SEED = st.resolve_seed(0)
 
 
 # ----------------------------------------------------------------------
@@ -153,9 +155,17 @@ def test_repr_smoke():
     assert "Ball" in repr(Ball([0.0], 1.0))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.floats(-2, 0), st.floats(0.1, 2))
-def test_box_sample_always_inside(lo, width):
-    box = Box([lo, lo], [lo + width, lo + width])
-    pts = box.sample(50, rng=np.random.default_rng(0))
-    assert np.all(box.contains(pts))
+def test_box_sample_always_inside():
+    def prop(args):
+        lo, width = args
+        box = Box([lo, lo], [lo + width, lo + width])
+        pts = box.sample(50, rng=np.random.default_rng(0))
+        assert np.all(box.contains(pts))
+
+    st.run_property(
+        "box-sample-inside",
+        st.tuples(st.floats(-2, 0), st.floats(0.1, 2)),
+        prop,
+        n_examples=st.fuzz_examples(30),
+        seed=SEED,
+    )

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.poly import Polynomial
 from repro.sets import Ball, Box
+from repro.soundness import strategies as st
 from repro.sos import SOSExpr, SOSProgram, sos_lower_bound, sos_range, sos_upper_bound
+
+SEED = st.resolve_seed(0)
 
 
 # ----------------------------------------------------------------------
@@ -105,17 +107,22 @@ def test_bound_dimension_mismatch():
         sos_lower_bound(Polynomial.one(2), Box([-1.0], [1.0]))
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    st.floats(-2, 2),
-    st.floats(-1, 1),
-    st.floats(0.1, 2),
-)
-def test_lower_bound_is_sound_property(a, b, c):
+def test_lower_bound_is_sound_property():
     """For random quadratics, the certified bound never exceeds sampled minima."""
     x = Polynomial.variable(1, 0)
-    p = c * x * x + b * x + a
     box = Box([-1.5], [1.5])
-    lb = sos_lower_bound(p, box, multiplier_degree=0)
     xs = np.linspace(-1.5, 1.5, 301)[:, None]
-    assert lb <= float(np.min(p(xs))) + 1e-5
+
+    def prop(args):
+        a, b, c = args
+        p = c * x * x + b * x + a
+        lb = sos_lower_bound(p, box, multiplier_degree=0)
+        assert lb <= float(np.min(p(xs))) + 1e-5
+
+    st.run_property(
+        "sos-lower-bound-sound",
+        st.tuples(st.floats(-2, 2), st.floats(-1, 1), st.floats(0.1, 2)),
+        prop,
+        n_examples=st.fuzz_examples(15),
+        seed=SEED,
+    )

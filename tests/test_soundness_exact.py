@@ -282,12 +282,6 @@ def test_snbc_success_carries_proven_soundness_report():
     assert res.soundness.barrier_hash
 
 
-def test_snbc_gate_off_skips_recheck():
-    res = snbc_for(decay_problem(), soundness_check=False).run()
-    assert res.success
-    assert res.soundness is None
-
-
 def test_snbc_refuses_accept_without_certificate_bundle():
     # an accepted verification with nothing to re-prove must not pass the
     # gate as "no recheck needed"

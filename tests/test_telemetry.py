@@ -22,6 +22,7 @@ from repro.telemetry import (
     load_events,
     platform_info,
     session,
+    write_json_atomic,
 )
 from repro.telemetry.metrics import percentile
 from repro.telemetry.report import (
@@ -243,6 +244,30 @@ def test_manifest_write_interrupted_mid_dump_keeps_previous(
     assert path.read_text() == before
     assert json.loads(before)["name"] == "first"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "compact, previous",
+    [(False, '{\n  "v": 1\n}\n'), (True, '{"v":1}')],
+)
+def test_write_json_atomic_failed_dump_keeps_previous(
+    tmp_path, compact, previous
+):
+    path = tmp_path / "artifact.json"
+    write_json_atomic(str(path), {"v": 1}, compact=compact)
+    assert path.read_text() == previous
+
+    class Unencodable:
+        def __str__(self):
+            raise RuntimeError("dump failed mid-write")
+
+    # "a" reaches the temp file before "b" fails to encode
+    with pytest.raises(RuntimeError, match="mid-write"):
+        write_json_atomic(
+            str(path), {"a": 1, "b": Unencodable()}, compact=compact
+        )
+    assert path.read_text() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
 # ----------------------------------------------------------------------
